@@ -15,6 +15,8 @@ import numpy as np
 
 _WORD = 64
 _ONE = np.uint64(1)
+# a uniform square matrix is nonsingular with probability > 0.28
+_NONSINGULAR_TRIES = 256
 
 
 def _num_words(nbits: int) -> int:
@@ -348,30 +350,11 @@ def rank_invert(m: MatF2) -> tuple[int, MatF2 | None]:
     return k, MatF2.from_bits(inv_bits)
 
 
-def nullspace_basis(g: MatF2) -> MatF2:
-    """Full-row-rank basis of the right nullspace {h : g h^T = 0}, as rows."""
-    work = g.data.copy()
-    r, pivots = _eliminate(work, g.cols, reduce_above=True)
-    free = [c for c in range(g.cols) if c not in set(pivots)]
-    basis = np.zeros((len(free), g.cols), dtype=np.uint8)
-    if r:
-        rref = _unpack(work[:r], g.cols)
-        piv_arr = np.array(pivots)
-        for k, f in enumerate(free):
-            basis[k, f] = 1
-            sel = rref[:, f].astype(bool)
-            basis[k, piv_arr[sel]] = 1
-    else:
-        for k, f in enumerate(free):
-            basis[k, f] = 1
-    return MatF2.from_bits(basis)
-
-
-def random_nonsingular(k: int, rng: np.random.Generator, max_tries: int = 256) -> MatF2:
+def random_nonsingular(k: int, rng: np.random.Generator) -> MatF2:
     """Uniform nonsingular matrix by rejection sampling on the rank."""
     if k < 1:
         raise ValueError("dimension must be positive")
-    for _ in range(max_tries):
+    for _ in range(_NONSINGULAR_TRIES):
         m = MatF2.random(k, k, rng)
         if rank(m) == k:
             return m
@@ -397,14 +380,8 @@ def permute(v: BitVec, pi: Permutation, inverse: bool = False) -> BitVec:
     return BitVec.from_bits(out)
 
 
-def mat_permute_cols(m: MatF2, pi: Permutation, inverse: bool = False) -> MatF2:
+def mat_permute_cols(m: MatF2, pi: Permutation) -> MatF2:
     """Permute matrix columns the same way permute() moves vector entries."""
     if m.cols != len(pi):
         raise ValueError("length mismatch")
-    bits = m.to_bits()
-    if inverse:
-        out = np.empty_like(bits)
-        out[:, pi.sources] = bits
-    else:
-        out = bits[:, pi.sources]
-    return MatF2.from_bits(out)
+    return MatF2.from_bits(m.to_bits()[:, pi.sources])

@@ -152,9 +152,7 @@ def _cmd_decrypt(args) -> int:
     except OSError as exc:
         raise _InputError(f"cannot read {args.infile}: {exc}") from exc
     try:
-        plaintext = cryptopipe.decrypt(
-            priv, pub, ct, use_gate=not args.no_gate, workers=args.workers
-        )
+        plaintext = cryptopipe.decrypt(priv, pub, ct, use_gate=not args.no_gate)
     except cryptopipe.DecryptionFailure as exc:
         print("decryption failed; request retransmission", file=sys.stderr)
         print(f"candidate error weights: {exc.candidate_weights}", file=sys.stderr)
@@ -256,7 +254,7 @@ def _cmd_simulate(args) -> int:
         m = BitVec.random(pf.params.plaintext_len, rng)
         ct = cryptopipe.encrypt(pub, m, rng)
         try:
-            out = cryptopipe.decrypt(priv, pub, ct, workers=args.workers)
+            out = cryptopipe.decrypt(priv, pub, ct)
         except cryptopipe.DecryptionFailure:
             detected += 1
             continue
@@ -308,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--out", help="write here instead of stdout")
     dec.add_argument("--format", choices=("bits", "raw"), default="bits")
     dec.add_argument("--no-gate", action="store_true", help="accept on CRC alone")
-    dec.add_argument("--workers", type=int)
     dec.set_defaults(func=_cmd_decrypt)
 
     ana = sub.add_parser("analyze", help="numeric reports")
@@ -360,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--params", required=True)
     sim.add_argument("--trials", type=int, required=True)
     sim.add_argument("--seed", type=int)
-    sim.add_argument("--workers", type=int)
     sim.add_argument("--json")
     sim.set_defaults(func=_cmd_simulate)
 

@@ -14,11 +14,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .bitlinalg import BitVec, MatF2, mat_vec_mul
+from .bitlinalg import BitVec, MatF2
 from .gf2poly import BinPoly, poly_mul
 
 MAX_MASK_RANK = 20
 MAX_TRELLIS_MEMORY = 16
+# decoders pack one segment's n output bits into a uint8 symbol
+MAX_STREAMS = 8
 
 
 @dataclass(frozen=True)
@@ -69,8 +71,8 @@ class CodeParams:
     r_poly: BinPoly
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("need at least one stream")
+        if not 1 <= self.n <= MAX_STREAMS:
+            raise ValueError(f"n must be in 1..{MAX_STREAMS}")
         if not 0 < self.p <= MAX_TRELLIS_MEMORY:
             raise ValueError(f"p must be in 1..{MAX_TRELLIS_MEMORY}")
         if self.q < 0:
@@ -153,8 +155,3 @@ def encode_streams(m: BitVec, polys: PolyGenMatrix, memory: int) -> BitVec:
     mp = BinPoly.from_bitvec(m)
     length = m.n + memory
     return interleave([poly_mul(mp, pj).to_bitvec(length) for pj in polys.polys])
-
-
-def encode_matrix(m: BitVec, polys: PolyGenMatrix, memory: int) -> BitVec:
-    """Reference path through the expanded scalar matrix; equals encode_streams."""
-    return mat_vec_mul(m, expand_scalar(polys, m.n, memory))

@@ -11,7 +11,6 @@ candidate that passes the CRC and a weight plausibility gate.
 from __future__ import annotations
 
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -22,7 +21,7 @@ from .bitlinalg import BitVec, mat_vec_mul, permute
 from .convcode import CodeParams, PolyGenMatrix, deinterleave, interleave
 from .gf2poly import BinPoly, crc_append, crc_verify, poly_divmod
 from .keyring import KeyFormatError, MaskBasis, PrivateKey, PublicKey
-from .trellis import DecodeResult, build_trellis, viterbi_decode
+from .trellis import DecodeResult, Trellis, build_trellis, viterbi_decode
 
 _CT_MAGIC = b"MCCc"
 _CT_VERSION = 1
@@ -90,11 +89,6 @@ def enumerate_candidates(c_tilde: BitVec, basis: MaskBasis) -> Iterator[BitVec]:
         yield current
 
 
-def span_element_for_index(basis: MaskBasis, index: int, n: int) -> BitVec:
-    """Span element subtracted at enumeration position `index` (Gray order)."""
-    return basis.span_element(index ^ (index >> 1), n)
-
-
 def invert_highmem(
     candidate: BitVec, g_q: PolyGenMatrix, params: CodeParams
 ) -> tuple[BitVec, int]:
@@ -129,55 +123,41 @@ def _default_alpha(g_q: PolyGenMatrix, e: float, stream_len: int) -> float:
 
 
 def candidate_gate(
-    outcome: CandidateOutcome,
-    params: CodeParams,
-    alpha_estimate: float,
-    margin: float | None = None,
+    outcome: CandidateOutcome, params: CodeParams, alpha_estimate: float
 ) -> bool:
     """Accept only decodes whose corrected weight is plausible for the channel."""
     e = float(params.e)
-    if margin is None:
-        margin = 4.0 * (params.N * e * (1.0 - e)) ** 0.5
+    margin = 4.0 * (params.N * e * (1.0 - e)) ** 0.5
     return outcome.decode.error_weight <= e * params.N + alpha_estimate + margin
 
 
-def _decode_candidate(args) -> CandidateOutcome:
-    index, candidate, g_q, params, trellis = args
+def _decode_candidate(
+    index: int, candidate: BitVec, g_q: PolyGenMatrix, params: CodeParams, trellis: Trellis
+) -> CandidateOutcome:
     quotient, rem_weight = invert_highmem(candidate, g_q, params)
     decode = viterbi_decode(trellis, quotient)
     return CandidateOutcome(index, quotient, decode, rem_weight)
 
 
 def decrypt(
-    priv: PrivateKey,
-    pub: PublicKey,
-    ct: Ciphertext,
-    use_gate: bool = True,
-    alpha: float | None = None,
-    workers: int | None = None,
+    priv: PrivateKey, pub: PublicKey, ct: Ciphertext, use_gate: bool = True
 ) -> BitVec:
     """Recover the plaintext or raise DecryptionFailure with all weights.
 
-    The 2^l candidate pipelines are independent; `workers` runs them on a
-    thread pool. Candidates are ranked by (error weight, mask index) no
-    matter the completion order, so the result is deterministic.
+    Candidates are ranked by (error weight, mask index), so the result is
+    deterministic.
     """
     params = priv.params
     if ct.bits.n != params.N:
         raise ValueError("ciphertext length mismatch")
     c_tilde = permute(ct.bits, priv.perm, inverse=True)
     trellis = build_trellis(priv.g_p, params.K)
-    jobs = [
-        (i, cand, priv.g_q, params, trellis)
+    outcomes = [
+        _decode_candidate(i, cand, priv.g_q, params, trellis)
         for i, cand in enumerate(enumerate_candidates(c_tilde, priv.mask_basis))
     ]
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_decode_candidate, jobs))
-    else:
-        outcomes = [_decode_candidate(j) for j in jobs]
     outcomes.sort(key=lambda o: (o.decode.error_weight, o.mask_index))
-    if alpha is None and use_gate:
+    if use_gate:
         alpha = _default_alpha(priv.g_q, float(params.e), params.K + params.p + params.q)
     for outcome in outcomes:
         m_r = mat_vec_mul(outcome.decode.info, priv.s_inv)

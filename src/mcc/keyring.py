@@ -175,13 +175,13 @@ def keygen(
         )
         if mask.shape != (params.K, params.N) or len(perm) != params.N:
             raise ValueError("injected material does not match the parameters")
+        # gen_mask_matrix already checks this rank on the random path
+        if rank(mat_add(gpq_mat, mask)) != params.K:
+            raise ValueError("masked generator matrix is rank deficient")
     _, s_inv = rank_invert(s)
     if s_inv is None:
         raise ValueError("scramble matrix is singular")
-    masked = mat_add(gpq_mat, mask)
-    if rank(masked) != params.K:
-        raise ValueError("masked generator matrix is rank deficient")
-    g = mat_permute_cols(mat_mul(s, masked), perm)
+    g = mat_permute_cols(mat_mul(s, mat_add(gpq_mat, mask)), perm)
     pub = PublicKey(params=params, g=g)
     priv = PrivateKey(
         params=params,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitlinalg import BitVec
-from .convcode import MAX_TRELLIS_MEMORY, PolyGenMatrix, encode_streams
+from .convcode import MAX_STREAMS, MAX_TRELLIS_MEMORY, PolyGenMatrix, encode_streams
 
 _INF = np.int32(1 << 29)
 MAX_SEARCH_MEMORY = 12
@@ -31,6 +31,8 @@ _POP8 = np.bitwise_count(np.arange(256, dtype=np.uint8)).astype(np.int32)
 
 def _window_symbols(polys: PolyGenMatrix) -> np.ndarray:
     """Packed n-bit output symbol for every (p+1)-bit input window."""
+    if polys.n > MAX_STREAMS:
+        raise ValueError(f"{polys.n} streams exceed the {MAX_STREAMS}-stream cap")
     p = polys.memory
     w = np.arange(1 << (p + 1), dtype=np.uint64)
     out = np.zeros(1 << (p + 1), dtype=np.uint8)
@@ -42,14 +44,14 @@ def _window_symbols(polys: PolyGenMatrix) -> np.ndarray:
 class Trellis:
     """Immutable state machine of a terminated rate-1/n code.
 
-    Decoding allocates per-call scratch only, so one trellis can serve many
-    concurrent decodes.
+    Decoding allocates per-call scratch only, so one trellis serves every
+    candidate of a decrypt.
     """
 
     def __init__(self, polys: PolyGenMatrix, K: int):
         p = polys.memory
-        if p > MAX_TRELLIS_MEMORY:
-            raise ValueError(f"memory {p} exceeds the {MAX_TRELLIS_MEMORY}-bit cap")
+        if not 1 <= p <= MAX_TRELLIS_MEMORY:
+            raise ValueError(f"memory {p} is outside 1..{MAX_TRELLIS_MEMORY}")
         if K < 1:
             raise ValueError("K must be positive")
         self.polys = polys
@@ -59,13 +61,8 @@ class Trellis:
         self.num_states = 1 << p
         self.segments = K + p
         out = _window_symbols(polys)
-        # transition table: window for (state s, input b) is (s << 1) | b
-        states = np.arange(self.num_states, dtype=np.int64)
-        self.next_state = np.stack(
-            [((states << 1) | b) & (self.num_states - 1) for b in (0, 1)], axis=1
-        )
-        self.out_sym = np.stack([out[(states << 1) | b] for b in (0, 1)], axis=1)
-        # reverse view used by the ACS loop: predecessor with top bit 0 or 1
+        # the window for (state s, input b) is (s << 1) | b; split by the top
+        # bit of the predecessor for the ACS loop
         self._out_lo = out[: self.num_states]
         self._out_hi = out[self.num_states :]
         self._bm_tables = None
@@ -75,19 +72,6 @@ class Trellis:
                 _POP8[self._out_lo[None, :] ^ syms],
                 _POP8[self._out_hi[None, :] ^ syms],
             )
-
-    def encode(self, info: BitVec) -> BitVec:
-        """Walk the trellis over info plus the zero tail."""
-        if info.n != self.K:
-            raise ValueError("info length does not match the trellis")
-        bits = info.to_bits()
-        out = np.zeros(self.segments, dtype=np.uint8)
-        state = 0
-        for t in range(self.segments):
-            b = int(bits[t]) if t < self.K else 0
-            out[t] = self.out_sym[state, b]
-            state = self.next_state[state, b]
-        return _symbols_to_bits(out, self.n)
 
     def __repr__(self) -> str:
         return f"Trellis(n={self.n}, p={self.p}, K={self.K}, states={self.num_states})"
@@ -107,13 +91,6 @@ def build_trellis(polys: PolyGenMatrix, K: int) -> Trellis:
     return Trellis(polys, K)
 
 
-def _symbols_to_bits(syms: np.ndarray, n: int) -> BitVec:
-    bits = np.zeros(len(syms) * n, dtype=np.uint8)
-    for j in range(n):
-        bits[j::n] = (syms >> j) & 1
-    return BitVec.from_bits(bits)
-
-
 def _bits_to_symbols(v: BitVec, n: int) -> np.ndarray:
     bits = v.to_bits().reshape(-1, n)
     return (bits << np.arange(n, dtype=np.uint8)).sum(axis=1).astype(np.uint8)
@@ -127,18 +104,6 @@ def _forward_pass(trellis: Trellis, rsyms: np.ndarray, collect_metrics: bool = F
     pm[0] = 0
     survivors = np.zeros((segs, ns), dtype=bool)
     history = [pm.copy()] if collect_metrics else None
-    if trellis.p == 0:
-        # single state; the survivor bit stores the chosen input directly
-        bm = _POP8[trellis.out_sym[0, 0] ^ rsyms], _POP8[trellis.out_sym[0, 1] ^ rsyms]
-        total = np.int32(0)
-        for t in range(segs):
-            c0, c1 = total + bm[0][t], total + bm[1][t]
-            take1 = bool(c1 < c0) and t < trellis.K
-            survivors[t, 0] = take1
-            total = c1 if take1 else c0
-            if collect_metrics:
-                history.append(np.array([total], dtype=np.int32))
-        return np.array([total], dtype=np.int32), survivors, history
     half = ns >> 1
     if trellis._bm_tables is not None:
         bm_lo, bm_hi = trellis._bm_tables
@@ -167,14 +132,11 @@ def viterbi_decode(trellis: Trellis, received: BitVec) -> DecodeResult:
     rsyms = _bits_to_symbols(received, trellis.n)
     pm, survivors, _ = _forward_pass(trellis, rsyms)
     bits = np.zeros(trellis.segments, dtype=np.uint8)
-    if trellis.p == 0:
-        bits[:] = survivors[:, 0]
-    else:
-        state = 0
-        top_shift = trellis.p - 1
-        for t in range(trellis.segments - 1, -1, -1):
-            bits[t] = state & 1
-            state = (state >> 1) | (int(survivors[t, state]) << top_shift)
+    state = 0
+    top_shift = trellis.p - 1
+    for t in range(trellis.segments - 1, -1, -1):
+        bits[t] = state & 1
+        state = (state >> 1) | (int(survivors[t, state]) << top_shift)
     info = BitVec.from_bits(bits[: trellis.K])
     codeword = encode_streams(info, trellis.polys, trellis.p)
     error_vector = received ^ codeword

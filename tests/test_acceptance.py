@@ -274,12 +274,11 @@ def test_criterion_09_full_scale():
     ok = 0
     separated = 0
     trials = 20
-    for trial in range(trials):
+    for _ in range(trials):
         m = BitVec.random(bench.params.plaintext_len, rng)
         ct = encrypt(pub, m, rng)
-        workers = 4 if trial % 2 else None
         try:
-            out = decrypt(priv, pub, ct, workers=workers)
+            out = decrypt(priv, pub, ct)
         except DecryptionFailure:
             continue
         if out == m:
@@ -297,7 +296,7 @@ def test_criterion_09_full_scale():
         ct = encrypt(pub, m, rng)
         c_tilde = permute(ct.bits, priv.perm, inverse=True)
         weights = sorted(
-            _decode_candidate((i, cand, priv.g_q, priv.params, trellis)).decode.error_weight
+            _decode_candidate(i, cand, priv.g_q, priv.params, trellis).decode.error_weight
             for i, cand in enumerate(enumerate_candidates(c_tilde, priv.mask_basis))
         )
         assert weights[0] < weights[1], "winner not separated from the field"

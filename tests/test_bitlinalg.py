@@ -8,7 +8,6 @@ from mcc.bitlinalg import (
     mat_add,
     mat_mul,
     mat_vec_mul,
-    nullspace_basis,
     permute,
     rank,
     rank_invert,
@@ -130,37 +129,6 @@ def test_rank_invert_inverse_both_sides():
         assert r == k
         assert mat_mul(m, inv) == MatF2.identity(k)
         assert mat_mul(inv, m) == MatF2.identity(k)
-
-
-def test_nullspace_systematic_form():
-    rng = np.random.default_rng(7)
-    a = MatF2.random(4, 6, rng)
-    g = MatF2.from_bits(np.hstack([np.eye(4, dtype=np.uint8), a.to_bits()]))
-    h = nullspace_basis(g)
-    assert h.shape == (6, 10)
-    zero = MatF2.zeros(4, 6)
-    assert mat_mul(g, h.transpose()) == zero
-    # expected span: [A^T | I]
-    expected = MatF2.from_bits(
-        np.hstack([a.to_bits().T, np.eye(6, dtype=np.uint8)])
-    )
-    assert mat_mul(g, expected.transpose()) == zero
-    combined = MatF2.from_bits(np.vstack([h.to_bits(), expected.to_bits()]))
-    assert rank(combined) == 6
-
-
-def test_nullspace_rank_identities():
-    rng = np.random.default_rng(11)
-    for rows, cols in ((4, 9), (8, 8), (10, 17)):
-        g = MatF2.random(rows, cols, rng)
-        h = nullspace_basis(g)
-        assert h.rows == cols - rank(g)
-        assert rank(h) == h.rows
-        if h.rows:
-            prod = mat_mul(g, h.transpose())
-            assert prod == MatF2.zeros(rows, h.rows)
-    full = random_nonsingular(12, rng)
-    assert nullspace_basis(full).rows == 0
 
 
 def test_random_nonsingular():

@@ -54,6 +54,11 @@ def test_keygen_encrypt_decrypt_demo_flow(demo_files):
     code, out, err = run_cli("decrypt", "--priv", str(priv), "--pub", str(pub), "--in", str(ct))
     assert code == 0, err
     assert out.strip() == "111001"
+    code, out, err = run_cli(
+        "decrypt", "--priv", str(priv), "--pub", str(pub), "--in", str(ct), "--no-gate"
+    )
+    assert code == 0, err
+    assert out.strip() == "111001"
 
 
 def test_decrypt_to_file(demo_files, tmp_path):
@@ -172,6 +177,16 @@ def test_exit_code_malformed_inputs(tmp_path):
         "--out-pub", str(tmp_path / "a"), "--out-priv", str(tmp_path / "b"),
     )
     assert code == 2
+    # nine streams parse as text but exceed the stream cap
+    params.write_text(
+        "n = 9\np = 2\nq = 1\nK = 20\nl = 0\ne = 1/100\n"
+        f"g_p = {'; '.join(['[0,2]'] * 9)}\ng_q = {'; '.join(['[1]'] * 9)}\n"
+    )
+    code, _, err = run_cli(
+        "keygen", "--params", str(params),
+        "--out-pub", str(tmp_path / "a"), "--out-priv", str(tmp_path / "b"),
+    )
+    assert code == 2, err
     msg = tmp_path / "short.txt"
     msg.write_text("01")
     code, _, _ = run_cli(

@@ -8,12 +8,12 @@ from mcc.convcode import (
     CodeParams,
     PolyGenMatrix,
     deinterleave,
-    encode_matrix,
     encode_streams,
     expand_scalar,
     interleave,
 )
 from mcc.gf2poly import BinPoly, poly_mul
+from oracles import encode_matrix
 
 GP = PolyGenMatrix.from_exponent_lists([[0, 2], [0, 1, 2]])
 GQ = PolyGenMatrix.from_exponent_lists([[0, 7], [7]])
@@ -172,6 +172,8 @@ def test_code_params_invariants():
     assert params.N == 30
     assert params.r == 0
     assert params.plaintext_len == 6
+    with pytest.raises(ValueError):
+        CodeParams(n=9, p=2, q=7, K=6, l=2, e=Fraction(0), r_poly=BinPoly.one())
     with pytest.raises(ValueError):
         CodeParams(n=2, p=0, q=7, K=6, l=2, e=Fraction(0), r_poly=BinPoly.one())
     with pytest.raises(ValueError):

@@ -15,11 +15,11 @@ from mcc.cryptopipe import (
     enumerate_candidates,
     invert_highmem,
     serialize_ciphertext,
-    span_element_for_index,
 )
 from mcc.gf2poly import BinPoly, poly_divmod
 from mcc.keyring import KeyFormatError
 from mcc.trellis import DecodeResult
+from oracles import reference_decrypt, span_element_for_index
 
 STREAM0_POLY = BinPoly.from_exponents([7, 10, 14])
 STREAM1_POLY = BinPoly.from_exponents([0, 1, 2, 3, 4, 5, 6, 9, 10, 11, 12, 14])
@@ -190,19 +190,37 @@ def test_decrypt_desk_round_trip_with_noise(desk, desk_keys):
     assert ok >= 19
 
 
-def test_decrypt_workers_match_serial(demo, demo_keys):
-    pub, priv = demo_keys
-    rng = np.random.default_rng(17)
-    m = BitVec.random(6, rng)
-    ct = encrypt(pub, m, rng)
+def _decrypt_outcome(fn, *args, **kwargs):
     try:
-        serial = decrypt(priv, pub, ct)
+        return "plaintext", fn(*args, **kwargs)
     except DecryptionFailure as exc:
-        with pytest.raises(DecryptionFailure) as err:
-            decrypt(priv, pub, ct, workers=3)
-        assert err.value.candidate_weights == exc.candidate_weights
-    else:
-        assert decrypt(priv, pub, ct, workers=3) == serial
+        return "failure", exc.candidate_weights
+
+
+@pytest.mark.parametrize("use_gate", [True, False])
+def test_decrypt_matches_reference_pipeline(demo, demo_keys, desk_keys, use_gate):
+    from mcc.cryptopipe import Ciphertext
+
+    rng = np.random.default_rng(17)
+    golden = encrypt(demo_keys[0], demo.message, rng, error=demo.error_vector)
+    cases = [(demo_keys, golden)]
+    for keys, count in ((demo_keys, 12), (desk_keys, 6)):
+        pub = keys[0]
+        for _ in range(count):
+            m = BitVec.random(pub.params.plaintext_len, rng)
+            cases.append((keys, encrypt(pub, m, rng)))
+    params = desk_keys[0].params
+    # 24 errors decode to a CRC-valid weight above the gate bound (~17)
+    heavy = BitVec.from_indices(params.N, rng.choice(params.N, 24, replace=False))
+    m = BitVec.random(params.plaintext_len, rng)
+    cases.append((desk_keys, encrypt(desk_keys[0], m, rng, error=heavy)))
+    cases.append((desk_keys, Ciphertext(BitVec.random(params.N, rng))))
+    kinds = set()
+    for (pub, priv), ct in cases:
+        got = _decrypt_outcome(decrypt, priv, pub, ct, use_gate=use_gate)
+        assert got == _decrypt_outcome(reference_decrypt, priv, ct, use_gate=use_gate)
+        kinds.add(got[0])
+    assert kinds == {"plaintext", "failure"}
 
 
 def test_decrypt_determinism(desk_keys):
@@ -243,7 +261,7 @@ def test_candidate_separation_at_desk_scale(desk_keys):
         c_tilde = permute(ct.bits, priv.perm, inverse=True)
         weights = []
         for i, cand in enumerate(enumerate_candidates(c_tilde, priv.mask_basis)):
-            outcome = _decode_candidate((i, cand, priv.g_q, priv.params, trellis))
+            outcome = _decode_candidate(i, cand, priv.g_q, priv.params, trellis)
             weights.append(outcome.decode.error_weight)
         best = min(weights)
         if sum(1 for w in weights if w == best) == 1:

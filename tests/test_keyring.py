@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from mcc.keyring import (
     rebuild_public,
     serialize_key,
 )
-from mcc.presets import load_preset
+from mcc.presets import ParamFileError, load_preset, parse_param_file
 
 G_ROW0 = "101011001100101101010111100100"
 
@@ -193,3 +195,16 @@ def test_preset_params_load():
         assert pf.params.N == pf.params.n * (pf.params.K + pf.params.p + pf.params.q)
     assert load_preset("bench-a").params.N == 5600
     assert load_preset("bench-b").params.N == 10032
+
+
+def test_nine_streams_rejected_in_files(demo_keys):
+    # parse-ready except for n: nine streams overflow the uint8 segment symbols
+    text = (
+        "n = 9\np = 2\nq = 1\nK = 20\nl = 0\ne = 1/100\n"
+        f"g_p = {'; '.join(['[0,2]'] * 9)}\ng_q = {'; '.join(['[1]'] * 9)}\n"
+    )
+    with pytest.raises(ParamFileError, match="n must be"):
+        parse_param_file(text)
+    blob = serialize_key(demo_keys[0])
+    with pytest.raises(KeyFormatError, match="n must be"):
+        deserialize_key(blob[:6] + struct.pack("<I", 9) + blob[10:])

@@ -53,27 +53,23 @@ def test_build_1024_state_trellis():
     assert t.num_states == 1024
 
 
-def test_build_single_state_repetition():
-    rep = PolyGenMatrix((BinPoly.one(), BinPoly.one()))
-    t = build_trellis(rep, 4)
-    assert t.num_states == 1
-    assert t.encode(BitVec.from01("1011")).to01() == "11001111"
-
-
 def test_memory_cap():
     big = PolyGenMatrix((BinPoly.x_pow(17) + BinPoly.one(), BinPoly.one()))
     with pytest.raises(ValueError):
         build_trellis(big, 4)
+    # memory 0 leaves a single state and nothing to decode
+    with pytest.raises(ValueError):
+        build_trellis(PolyGenMatrix((BinPoly.one(), BinPoly.one())), 4)
 
 
-def test_trellis_encode_matches_stream_encoder():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        polys = random_code(rng)
-        k = int(rng.integers(1, 20))
-        t = build_trellis(polys, k)
-        m = BitVec.random(k, rng)
-        assert t.encode(m) == encode_streams(m, polys, polys.memory)
+def test_stream_cap():
+    # a ninth stream does not fit the uint8 segment symbols
+    nine = PolyGenMatrix(GP.polys + GP.polys[1:] * 7)
+    assert nine.n == 9
+    with pytest.raises(ValueError):
+        build_trellis(nine, 4)
+    with pytest.raises(ValueError):
+        free_distance(nine)
 
 
 def test_reference_decode_weight_two():
