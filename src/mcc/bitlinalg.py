@@ -210,9 +210,6 @@ class MatF2:
             return np.zeros((0, self.cols), dtype=np.uint8)
         return _unpack(self.data, self.cols)
 
-    def transpose(self) -> "MatF2":
-        return MatF2.from_bits(self.to_bits().T) if self.rows else MatF2(self.cols, 0)
-
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)

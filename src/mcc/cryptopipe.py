@@ -37,7 +37,6 @@ class CandidateOutcome:
     """Result of one unmasking hypothesis."""
 
     mask_index: int
-    quotient_word: BitVec
     decode: DecodeResult
     remainder_weight: int
 
@@ -136,7 +135,7 @@ def _decode_candidate(
 ) -> CandidateOutcome:
     quotient, rem_weight = invert_highmem(candidate, g_q, params)
     decode = viterbi_decode(trellis, quotient)
-    return CandidateOutcome(index, quotient, decode, rem_weight)
+    return CandidateOutcome(index, decode, rem_weight)
 
 
 def decrypt(

@@ -3,6 +3,8 @@
 The public matrix is built as scramble * (high-memory generator + mask) *
 permutation. The mask rows are drawn from the span of a small independent
 basis, so unmasking during decryption only has to test 2^l hypotheses.
+A private key holds only what decryption reads: the polynomials, S^-1, the
+permutation and the mask basis. S and the mask matrix exist only in keygen.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .convcode import CodeParams, PolyGenMatrix, expand_scalar
 from .gf2poly import BinPoly
 
 _MAGIC = b"MCC1"
-_VERSION = 1
+_VERSION = 2
 _KIND_PUBLIC = 1
 _KIND_PRIVATE = 2
 _MASK_RETRY_CAP = 64
@@ -58,29 +60,6 @@ class MaskBasis:
     def l(self) -> int:
         return len(self.vectors)
 
-    @property
-    def span_size(self) -> int:
-        return 1 << self.l
-
-    def span_element(self, selector: int, n: int | None = None) -> BitVec:
-        """XOR of the basis vectors picked by the selector bits."""
-        if n is None:
-            if not self.vectors:
-                raise ValueError("empty basis needs an explicit length")
-            n = self.vectors[0].n
-        out = BitVec.zeros(n)
-        for i, v in enumerate(self.vectors):
-            if (selector >> i) & 1:
-                out = out ^ v
-        return out
-
-    def contains(self, v: BitVec) -> bool:
-        if not self.vectors:
-            return v.weight() == 0
-        base = MatF2.from_rows(self.vectors)
-        aug = MatF2.from_rows(list(self.vectors) + [v])
-        return rank(aug) == rank(base)
-
 
 @dataclass(frozen=True)
 class PublicKey:
@@ -94,14 +73,14 @@ class PublicKey:
 
 @dataclass(frozen=True)
 class PrivateKey:
+    """What decryption reads: the mask itself is resolved from its basis."""
+
     params: CodeParams
     g_p: PolyGenMatrix
     g_q: PolyGenMatrix
-    s: MatF2
     s_inv: MatF2
     perm: Permutation
     mask_basis: MaskBasis
-    mask_matrix: MatF2
 
 
 @dataclass(frozen=True)
@@ -112,6 +91,20 @@ class KeyMaterial:
     perm: Permutation
     mask_basis: MaskBasis
     mask_matrix: MatF2
+
+    def check(self, params: CodeParams) -> None:
+        """Raise ValueError unless the draws fit the parameters and a key file.
+
+        A private key file holds at most l basis vectors, each of length N.
+        """
+        if (
+            self.s.shape != (params.K, params.K)
+            or self.mask_matrix.shape != (params.K, params.N)
+            or len(self.perm) != params.N
+            or self.mask_basis.l > params.l
+            or any(v.n != params.N for v in self.mask_basis.vectors)
+        ):
+            raise ValueError("injected material does not match the parameters")
 
 
 def gen_mask_basis(N: int, l: int, rng: np.random.Generator) -> MaskBasis:
@@ -167,14 +160,13 @@ def keygen(
         basis = gen_mask_basis(params.N, params.l, rng)
         mask = gen_mask_matrix(basis, params.K, gpq_mat, rng)
     else:
+        material.check(params)
         s, perm, basis, mask = (
             material.s,
             material.perm,
             material.mask_basis,
             material.mask_matrix,
         )
-        if mask.shape != (params.K, params.N) or len(perm) != params.N:
-            raise ValueError("injected material does not match the parameters")
         # gen_mask_matrix already checks this rank on the random path
         if rank(mat_add(gpq_mat, mask)) != params.K:
             raise ValueError("masked generator matrix is rank deficient")
@@ -184,24 +176,9 @@ def keygen(
     g = mat_permute_cols(mat_mul(s, mat_add(gpq_mat, mask)), perm)
     pub = PublicKey(params=params, g=g)
     priv = PrivateKey(
-        params=params,
-        g_p=g_p,
-        g_q=g_q,
-        s=s,
-        s_inv=s_inv,
-        perm=perm,
-        mask_basis=basis,
-        mask_matrix=mask,
+        params=params, g_p=g_p, g_q=g_q, s_inv=s_inv, perm=perm, mask_basis=basis
     )
     return pub, priv
-
-
-def rebuild_public(priv: PrivateKey) -> MatF2:
-    """Recompute the public matrix from the private components."""
-    params = priv.params
-    g_pq = PolyGenMatrix(tuple(a * b for a, b in zip(priv.g_p.polys, priv.g_q.polys)))
-    gpq_mat = expand_scalar(g_pq, params.K, params.p + params.q)
-    return mat_permute_cols(mat_mul(priv.s, mat_add(gpq_mat, priv.mask_matrix)), priv.perm)
 
 
 # --- binary serialization -------------------------------------------------
@@ -250,11 +227,12 @@ class _Reader:
     def u64(self) -> int:
         return struct.unpack("<Q", self.take(8))[0]
 
-    def bitvec(self) -> BitVec:
-        n = self.u32()
-        raw = self.take((n + 7) // 8)
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")[:n]
-        return BitVec.from_bits(bits)
+    def bitvec(self, n: int) -> BitVec:
+        """Read a vector whose stored length must be n."""
+        if self.u32() != n:
+            raise KeyFormatError(f"vector length differs from the expected {n}")
+        raw = np.frombuffer(self.take((n + 7) // 8), dtype=np.uint8)
+        return BitVec.from_bits(np.unpackbits(raw, bitorder="little")[:n])
 
     def poly(self) -> BinPoly:
         nbits = self.u32()
@@ -264,15 +242,18 @@ class _Reader:
             raise KeyFormatError("polynomial has a zero leading coefficient")
         return BinPoly(value)
 
-    def matrix(self) -> MatF2:
-        rows = self.u32()
-        cols = self.u32()
+    def matrix(self, rows: int, cols: int) -> MatF2:
+        """Read a matrix whose stored shape must be rows x cols.
+
+        The shape fields are untrusted, so they are checked against the
+        expected shape, and the payload against the remaining bytes, before
+        anything is allocated.
+        """
+        if (self.u32(), self.u32()) != (rows, cols):
+            raise KeyFormatError(f"matrix shape differs from the expected {rows}x{cols}")
         stride = (cols + 7) // 8
-        out = np.zeros((rows, cols), dtype=np.uint8)
-        for i in range(rows):
-            raw = self.take(stride)
-            out[i] = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")[:cols]
-        return MatF2.from_bits(out)
+        raw = np.frombuffer(self.take(rows * stride), dtype=np.uint8).reshape(rows, stride)
+        return MatF2.from_bits(np.unpackbits(raw, axis=1, bitorder="little")[:, :cols])
 
     def done(self) -> None:
         if self.off != len(self.data):
@@ -320,17 +301,33 @@ def serialize_key(key: PublicKey | PrivateKey) -> bytes:
             parts.append(_encode_poly(poly))
         for poly in key.g_q.polys:
             parts.append(_encode_poly(poly))
-        parts.append(_encode_matrix(key.s))
+        parts.append(_encode_matrix(key.s_inv))
         parts.append(struct.pack(f"<{len(key.perm)}I", *key.perm.sources.tolist()))
         parts.append(struct.pack("<I", key.mask_basis.l))
         for v in key.mask_basis.vectors:
             parts.append(_encode_bitvec(v))
-        parts.append(_encode_matrix(key.mask_matrix))
         body = b"".join(parts)
         kind = _KIND_PRIVATE
     else:
         raise TypeError("not a key")
     return _MAGIC + bytes([_VERSION, kind]) + body
+
+
+def _read_private(r: _Reader, params: CodeParams) -> PrivateKey:
+    g_p = PolyGenMatrix(tuple(r.poly() for _ in range(params.n)))
+    g_q = PolyGenMatrix(tuple(r.poly() for _ in range(params.n)))
+    if g_p.memory != params.p or g_q.memory != params.q:
+        raise KeyFormatError("polynomial degrees disagree with the parameters")
+    s_inv = r.matrix(params.K, params.K)
+    perm = Permutation(np.array(struct.unpack(f"<{params.N}I", r.take(4 * params.N))))
+    l = r.u32()
+    # decryption tests 2^l hypotheses, so l must stay within the parameters' bound
+    if l > params.l:
+        raise KeyFormatError("mask basis is larger than the parameters allow")
+    basis = MaskBasis(tuple(r.bitvec(params.N) for _ in range(l)))
+    return PrivateKey(
+        params=params, g_p=g_p, g_q=g_q, s_inv=s_inv, perm=perm, mask_basis=basis
+    )
 
 
 def deserialize_key(data: bytes) -> PublicKey | PrivateKey:
@@ -341,46 +338,21 @@ def deserialize_key(data: bytes) -> PublicKey | PrivateKey:
     if version != _VERSION:
         raise KeyFormatError(f"unsupported version {version}")
     kind = r.u8()
-    params = _decode_params(r)
-    if kind == _KIND_PUBLIC:
-        g = r.matrix()
-        r.done()
-        try:
-            return PublicKey(params=params, g=g)
-        except ValueError as exc:
-            raise KeyFormatError(str(exc)) from exc
-    if kind != _KIND_PRIVATE:
+    if kind not in (_KIND_PUBLIC, _KIND_PRIVATE):
         raise KeyFormatError(f"unknown key kind {kind}")
+    params = _decode_params(r)
     try:
-        g_p = PolyGenMatrix(tuple(r.poly() for _ in range(params.n)))
-        g_q = PolyGenMatrix(tuple(r.poly() for _ in range(params.n)))
-        s = r.matrix()
-        perm = Permutation(np.array(struct.unpack(f"<{params.N}I", r.take(4 * params.N))))
-        l = r.u32()
-        basis = MaskBasis(tuple(r.bitvec() for _ in range(l)))
-        mask = r.matrix()
+        if kind == _KIND_PUBLIC:
+            key = PublicKey(params=params, g=r.matrix(params.K, params.N))
+        else:
+            key = _read_private(r, params)
         r.done()
     except ValueError as exc:
         raise KeyFormatError(str(exc)) from exc
-    if s.shape != (params.K, params.K):
-        raise KeyFormatError("scramble matrix has the wrong shape")
-    if mask.shape != (params.K, params.N):
-        raise KeyFormatError("mask matrix has the wrong shape")
-    if g_p.memory != params.p or g_q.memory != params.q:
-        raise KeyFormatError("polynomial degrees disagree with the parameters")
-    _, s_inv = rank_invert(s)
-    if s_inv is None:
-        raise KeyFormatError("scramble matrix is singular")
-    return PrivateKey(
-        params=params,
-        g_p=g_p,
-        g_q=g_q,
-        s=s,
-        s_inv=s_inv,
-        perm=perm,
-        mask_basis=basis,
-        mask_matrix=mask,
-    )
+    # S^-1 is used as stored; a rank check replaces the inversion of S
+    if isinstance(key, PrivateKey) and rank(key.s_inv) != params.K:
+        raise KeyFormatError("inverse scramble matrix is singular")
+    return key
 
 
 def save_key(key: PublicKey | PrivateKey, path) -> None:

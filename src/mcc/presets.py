@@ -167,13 +167,10 @@ def parse_inject_json(text: str, params: CodeParams) -> tuple[KeyMaterial, dict]
         perm = Permutation(np.array(doc["perm_sources"], dtype=np.int64))
         basis = MaskBasis(tuple(BitVec.from01(v) for v in doc["mask_basis"]))
         mask = MatF2.from_bitstrings(doc["mask_rows"])
+        material = KeyMaterial(s=s, perm=perm, mask_basis=basis, mask_matrix=mask)
+        material.check(params)
     except (KeyError, ValueError) as exc:
         raise ParamFileError(f"bad inject file: {exc}") from exc
-    if s.shape != (params.K, params.K):
-        raise ParamFileError("injected scramble matrix has the wrong shape")
-    if mask.shape != (params.K, params.N) or len(perm) != params.N:
-        raise ParamFileError("injected material does not match the parameters")
-    material = KeyMaterial(s=s, perm=perm, mask_basis=basis, mask_matrix=mask)
     extras = {k: doc[k] for k in ("error_positions", "message") if k in doc}
     return material, extras
 

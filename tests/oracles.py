@@ -1,6 +1,17 @@
 """Slow reference implementations that tests compare the package against."""
 
-from mcc.bitlinalg import BitVec, mat_vec_mul, permute
+import numpy as np
+
+from mcc.bitlinalg import (
+    BitVec,
+    MatF2,
+    Permutation,
+    mat_mul,
+    mat_permute_cols,
+    mat_vec_mul,
+    permute,
+    rank,
+)
 from mcc.convcode import PolyGenMatrix, expand_scalar
 from mcc.cryptopipe import (
     CandidateOutcome,
@@ -12,13 +23,44 @@ from mcc.cryptopipe import (
     invert_highmem,
 )
 from mcc.gf2poly import crc_verify
-from mcc.keyring import MaskBasis, PrivateKey
+from mcc.keyring import MaskBasis, PrivateKey, PublicKey
 from mcc.trellis import build_trellis, viterbi_decode
+
+
+def span_size(basis: MaskBasis) -> int:
+    return 1 << basis.l
+
+
+def span_element(basis: MaskBasis, selector: int, n: int | None = None) -> BitVec:
+    """XOR of the basis vectors picked by the selector bits."""
+    if n is None:
+        if not basis.vectors:
+            raise ValueError("empty basis needs an explicit length")
+        n = basis.vectors[0].n
+    out = BitVec.zeros(n)
+    for i, v in enumerate(basis.vectors):
+        if (selector >> i) & 1:
+            out = out ^ v
+    return out
+
+
+def span_contains(basis: MaskBasis, v: BitVec) -> bool:
+    if not basis.vectors:
+        return v.weight() == 0
+    base = MatF2.from_rows(basis.vectors)
+    aug = MatF2.from_rows(list(basis.vectors) + [v])
+    return rank(aug) == rank(base)
 
 
 def span_element_for_index(basis: MaskBasis, index: int, n: int) -> BitVec:
     """Span element subtracted at enumeration position `index` (Gray order)."""
-    return basis.span_element(index ^ (index >> 1), n)
+    return span_element(basis, index ^ (index >> 1), n)
+
+
+def recover_masked_sum(pub: PublicKey, priv: PrivateKey) -> MatF2:
+    """S^-1 * G * R^-1, which equals expand(g_p * g_q) + mask for a matching pair."""
+    unpermuted = mat_permute_cols(pub.g, Permutation(np.argsort(priv.perm.sources)))
+    return mat_mul(priv.s_inv, unpermuted)
 
 
 def encode_matrix(m: BitVec, polys: PolyGenMatrix, memory: int) -> BitVec:
@@ -40,7 +82,7 @@ def reference_decrypt(priv: PrivateKey, ct: Ciphertext, use_gate: bool = True) -
     for i, cand in enumerate(enumerate_candidates(c_tilde, priv.mask_basis)):
         quotient, rem_weight = invert_highmem(cand, priv.g_q, params)
         decode = viterbi_decode(trellis, quotient)
-        outcomes.append(CandidateOutcome(i, quotient, decode, rem_weight))
+        outcomes.append(CandidateOutcome(i, decode, rem_weight))
     outcomes.sort(key=lambda o: (o.decode.error_weight, o.mask_index))
     alpha = _default_alpha(priv.g_q, float(params.e), params.K + params.p + params.q)
     for outcome in outcomes:

@@ -29,6 +29,7 @@ from mcc.gf2poly import BinPoly, poly_divmod
 from mcc.keyring import keygen
 from mcc.presets import demo_fixture, load_preset
 from mcc.trellis import build_trellis, free_distance, viterbi_decode
+from oracles import recover_masked_sum
 
 
 def criterion(num, name, budget_s=None):
@@ -69,8 +70,9 @@ def test_criterion_01_golden():
 
     # key construction, bit for bit
     gpq = PolyGenMatrix(tuple(a * b for a, b in zip(fx.g_p.polys, fx.g_q.polys)))
-    masked = mat_add(expand_scalar(gpq, 6, 9), priv.mask_matrix)
+    masked = mat_add(expand_scalar(gpq, 6, 9), fx.material.mask_matrix)
     assert masked == MatF2.from_bitstrings(MASKED_SUM_ROWS)
+    assert recover_masked_sum(pub, priv) == masked
     assert pub.g.row(0).to01() == "101011001100101101010111100100"
     assert rank(pub.g) == 6
 

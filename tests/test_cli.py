@@ -187,12 +187,51 @@ def test_exit_code_malformed_inputs(tmp_path):
         "--out-pub", str(tmp_path / "a"), "--out-priv", str(tmp_path / "b"),
     )
     assert code == 2, err
+    # a basis of l + 1 vectors would not fit the private key file
+    from importlib import resources
+
+    doc = json.loads(resources.files("mcc").joinpath("data", "demo_inject.json").read_text())
+    doc["mask_basis"].append("110" * 10)
+    inject = tmp_path / "inject.json"
+    inject.write_text(json.dumps(doc))
+    code, _, err = run_cli(
+        "keygen", "--params", "demo", "--inject", str(inject),
+        "--out-pub", str(tmp_path / "a"), "--out-priv", str(tmp_path / "b"),
+    )
+    assert code == 2, err
     msg = tmp_path / "short.txt"
     msg.write_text("01")
     code, _, _ = run_cli(
         "encrypt", "--pub", str(bad), "--in", str(msg), "--out", str(tmp_path / "c")
     )
     assert code == 2
+
+
+def test_exit_code_malformed_key_files(demo_files, tmp_path):
+    from mcc.keyring import deserialize_key
+    from test_keyring import crafted_header_blobs
+
+    _, pub, priv = demo_files
+    msg = tmp_path / "m.txt"
+    msg.write_text("111001")
+    ct = tmp_path / "ct.bin"
+    assert run_cli("encrypt", "--pub", str(pub), "--in", str(msg), "--out", str(ct))[0] == 0
+    keys = (deserialize_key(pub.read_bytes()), deserialize_key(priv.read_bytes()))
+    blobs = list(crafted_header_blobs(*keys))
+    for key, path in zip(keys, (pub, priv)):
+        v1 = bytearray(path.read_bytes())
+        v1[4] = 1
+        blobs.append((key, bytes(v1)))
+    for key, blob in blobs:
+        bad = tmp_path / "bad.key"
+        bad.write_bytes(blob)
+        if key is keys[0]:
+            argv = ("encrypt", "--pub", str(bad), "--in", str(msg), "--out", str(tmp_path / "c"))
+        else:
+            argv = ("decrypt", "--priv", str(bad), "--pub", str(pub), "--in", str(ct))
+        code, _, err = run_cli(*argv)
+        assert code == 2, err
+        assert err.startswith("error: ")
 
 
 def test_exit_code_decrypt_failure(tmp_path):

@@ -19,7 +19,7 @@ from mcc.cryptopipe import (
 from mcc.gf2poly import BinPoly, poly_divmod
 from mcc.keyring import KeyFormatError
 from mcc.trellis import DecodeResult
-from oracles import reference_decrypt, span_element_for_index
+from oracles import reference_decrypt, span_contains, span_element_for_index
 
 STREAM0_POLY = BinPoly.from_exponents([7, 10, 14])
 STREAM1_POLY = BinPoly.from_exponents([0, 1, 2, 3, 4, 5, 6, 9, 10, 11, 12, 14])
@@ -82,7 +82,7 @@ def test_enumerate_candidates_gray_order(demo, demo_keys):
     # every candidate offset lies in the span, and matches the index map
     for i, cand in enumerate(cands):
         offset = cand ^ c_tilde
-        assert priv.mask_basis.contains(offset)
+        assert span_contains(priv.mask_basis, offset)
         assert offset == span_element_for_index(priv.mask_basis, i, 30)
 
 
@@ -148,8 +148,8 @@ def test_superposition_of_code_and_error_quotients(demo, demo_keys):
         error = BitVec.bernoulli(30, 0.1, rng)
         ct = encrypt(pub, m, rng, error=error)
         c_tilde = permute(ct.bits, priv.perm, inverse=True)
-        m_s = mat_vec_mul(m, priv.s)
-        true_mask = mat_vec_mul(m_s, priv.mask_matrix)
+        m_s = mat_vec_mul(m, demo.material.s)
+        true_mask = mat_vec_mul(m_s, demo.material.mask_matrix)
         cand = c_tilde ^ true_mask
         word, _ = invert_highmem(cand, priv.g_q, params)
         perm_err = permute(error, priv.perm, inverse=True)
@@ -277,7 +277,7 @@ def test_candidate_gate_thresholds(demo):
         error_vector=BitVec.zeros(16),
         error_weight=2,
     )
-    good = CandidateOutcome(0, BitVec.zeros(16), decode, 0)
+    good = CandidateOutcome(0, decode, 0)
     assert candidate_gate(good, params, alpha_estimate=0.0)
     # a wide-parameter wrong candidate sits far above the plausible weight
     wide = CodeParams(
@@ -290,7 +290,7 @@ def test_candidate_gate_thresholds(demo):
         error_vector=BitVec.zeros(5228),
         error_weight=616,
     )
-    bad = CandidateOutcome(3, BitVec.zeros(5228), bad_decode, 0)
+    bad = CandidateOutcome(3, bad_decode, 0)
     assert not candidate_gate(bad, wide, alpha_estimate=280.0)
     assert candidate_gate(bad, wide, alpha_estimate=616.0 - 112.0)
 
@@ -300,9 +300,9 @@ def test_candidate_gate_zero_channel():
         n=2, p=2, q=7, K=6, l=0, e=Fraction(0), r_poly=BinPoly.one()
     )
     decode = DecodeResult(BitVec.zeros(6), BitVec.zeros(16), BitVec.zeros(16), 0)
-    assert candidate_gate(CandidateOutcome(0, BitVec.zeros(16), decode, 0), params, 0.0)
+    assert candidate_gate(CandidateOutcome(0, decode, 0), params, 0.0)
     decode1 = DecodeResult(BitVec.zeros(6), BitVec.zeros(16), BitVec.zeros(16), 1)
-    assert not candidate_gate(CandidateOutcome(0, BitVec.zeros(16), decode1, 0), params, 0.0)
+    assert not candidate_gate(CandidateOutcome(0, decode1, 0), params, 0.0)
 
 
 def test_round_trip_with_propagating_divisors():

@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 
 import numpy as np
@@ -15,10 +16,10 @@ from mcc.keyring import (
     gen_mask_basis,
     gen_mask_matrix,
     keygen,
-    rebuild_public,
     serialize_key,
 )
 from mcc.presets import ParamFileError, load_preset, parse_param_file
+from oracles import recover_masked_sum, span_contains, span_element, span_size
 
 G_ROW0 = "101011001100101101010111100100"
 
@@ -32,13 +33,13 @@ def test_mask_basis_requires_independence():
 def test_gen_mask_basis_empty():
     basis = gen_mask_basis(30, 0, np.random.default_rng(0))
     assert basis.l == 0
-    assert basis.span_size == 1
-    assert basis.span_element(0, 30).weight() == 0
+    assert span_size(basis) == 1
+    assert span_element(basis, 0, 30).weight() == 0
 
 
 def test_demo_basis_spans_four_elements(demo):
     basis = demo.material.mask_basis
-    span = {basis.span_element(i).to01() for i in range(basis.span_size)}
+    span = {span_element(basis, i).to01() for i in range(span_size(basis))}
     assert span == {
         "0" * 30,
         "1" * 30,
@@ -61,7 +62,7 @@ def test_gen_mask_matrix_rows_live_in_span(demo):
     gpq = expand_scalar_demo(demo)
     mask = gen_mask_matrix(basis, 6, gpq, rng)
     for i in range(6):
-        assert basis.contains(mask.row(i))
+        assert span_contains(basis, mask.row(i))
     assert rank(mat_add(gpq, mask)) == 6
 
 
@@ -91,7 +92,8 @@ def test_keygen_reference_fixture(demo, demo_keys):
 
     m_r = demo.message
     unpermuted = mat_vec_mul(
-        mat_vec_mul(m_r, priv.s), mat_add(expand_scalar_demo(demo), priv.mask_matrix)
+        mat_vec_mul(m_r, demo.material.s),
+        mat_add(expand_scalar_demo(demo), demo.material.mask_matrix),
     )
     assert mat_vec_mul(m_r, pub.g) == permute(unpermuted, priv.perm)
 
@@ -108,6 +110,15 @@ def test_keygen_disabled_transformations(demo):
     assert pub.g == expand_scalar_demo(demo)
 
 
+def test_keygen_rejects_basis_the_key_file_cannot_hold(demo):
+    # a private key file holds at most l basis vectors, each of length N
+    rng = np.random.default_rng(0)
+    for basis in (gen_mask_basis(30, 3, rng), gen_mask_basis(29, 1, rng)):
+        material = dataclasses.replace(demo.material, mask_basis=basis)
+        with pytest.raises(ValueError, match="injected material"):
+            keygen(demo.params, demo.g_p, demo.g_q, rng, material=material)
+
+
 def test_keygen_rejects_bad_degrees(demo):
     with pytest.raises(ValueError):
         keygen(demo.params, demo.g_q, demo.g_q, np.random.default_rng(0))
@@ -119,36 +130,38 @@ def test_keygen_desk_scale_rank(desk):
     assert rank(pub.g) == 256
 
 
-def test_rebuild_public(demo_keys):
-    pub, priv = demo_keys
-    assert rebuild_public(priv) == pub.g
+def mask_rows_in_span(masked_sum, fixture, basis):
+    mask = mat_add(masked_sum, expand_scalar_demo(fixture))
+    return all(span_contains(basis, mask.row(i)) for i in range(mask.rows))
 
 
-def test_rebuild_detects_corruption(demo_keys):
+def test_recover_masked_sum(demo, demo_keys, desk, desk_keys):
     pub, priv = demo_keys
-    bits = priv.mask_matrix.to_bits()
+    masked = recover_masked_sum(pub, priv)
+    assert masked == mat_add(expand_scalar_demo(demo), demo.material.mask_matrix)
+    assert mask_rows_in_span(masked, demo, priv.mask_basis)
+    pub, priv = desk_keys
+    assert mask_rows_in_span(recover_masked_sum(pub, priv), desk, priv.mask_basis)
+
+
+def test_recover_masked_sum_detects_corruption(demo, demo_keys):
+    pub, priv = demo_keys
+    bits = pub.g.to_bits()
     bits[2, 17] ^= 1
-    corrupted = PrivateKey(
-        params=priv.params,
-        g_p=priv.g_p,
-        g_q=priv.g_q,
-        s=priv.s,
-        s_inv=priv.s_inv,
-        perm=priv.perm,
-        mask_basis=priv.mask_basis,
-        mask_matrix=MatF2.from_bits(bits),
-    )
-    assert rebuild_public(corrupted) != pub.g
+    corrupted = PublicKey(params=pub.params, g=MatF2.from_bits(bits))
+    masked = recover_masked_sum(corrupted, priv)
+    assert masked != mat_add(expand_scalar_demo(demo), demo.material.mask_matrix)
+    assert not mask_rows_in_span(masked, demo, priv.mask_basis)
 
 
-def test_scrambled_mask_rows_stay_in_span(demo_keys):
+def test_scrambled_mask_rows_stay_in_span(demo):
     # any message picks up a mask contribution that is itself a span element
-    pub, priv = demo_keys
+    material = demo.material
     rng = np.random.default_rng(11)
     for _ in range(50):
         m_r = BitVec.random(6, rng)
-        contrib = mat_vec_mul(mat_vec_mul(m_r, priv.s), priv.mask_matrix)
-        assert priv.mask_basis.contains(contrib)
+        contrib = mat_vec_mul(mat_vec_mul(m_r, material.s), material.mask_matrix)
+        assert span_contains(material.mask_basis, contrib)
 
 
 def test_serialize_round_trip_public(demo_keys):
@@ -183,10 +196,70 @@ def test_deserialize_rejects_garbage(demo_keys):
         deserialize_key(blob[:20])
     with pytest.raises(KeyFormatError):
         deserialize_key(b"XXXX" + blob[4:])
-    with pytest.raises(KeyFormatError):
-        deserialize_key(blob[:4] + bytes([99]) + blob[5:])
+    for version in (1, 99):
+        with pytest.raises(KeyFormatError, match="unsupported version"):
+            deserialize_key(blob[:4] + bytes([version]) + blob[5:])
     with pytest.raises(KeyFormatError):
         deserialize_key(blob + b"\x00")
+
+
+def test_deserialize_rejects_singular_inverse_scramble(demo_keys):
+    _, priv = demo_keys
+    bits = priv.s_inv.to_bits()
+    bits[5] = bits[0] ^ bits[1]
+    singular = dataclasses.replace(priv, s_inv=MatF2.from_bits(bits))
+    with pytest.raises(KeyFormatError, match="singular"):
+        deserialize_key(serialize_key(singular))
+
+
+def test_deserialize_rejects_basis_outside_the_parameters(demo_keys):
+    # more than l vectors would make decryption test more than 2^l hypotheses
+    _, priv = demo_keys
+    rng = np.random.default_rng(0)
+    for basis, match in (
+        (gen_mask_basis(30, 3, rng), "mask basis"),
+        (gen_mask_basis(29, 2, rng), "vector length"),
+    ):
+        blob = serialize_key(dataclasses.replace(priv, mask_basis=basis))
+        with pytest.raises(KeyFormatError, match=match):
+            deserialize_key(blob)
+
+
+def crafted_header_blobs(pub, priv):
+    """Key blobs whose first matrix header asks for a huge or empty-row shape."""
+    params = pub.params
+    # G closes the public blob; S^-1 follows the polynomials in the private one
+    at_pub = len(serialize_key(pub)) - 8 - params.K * ((params.N + 7) // 8)
+    polys = priv.g_p.polys + priv.g_q.polys
+    at_priv = at_pub + sum(4 + (p.value.bit_length() + 7) // 8 for p in polys)
+    for key, at in ((pub, at_pub), (priv, at_priv)):
+        blob = serialize_key(key)
+        assert struct.unpack_from("<II", blob, at)[0] == params.K
+        for rows, cols in ((1 << 20, 1 << 20), (0xFFFFFFFF, 0xFFFFFFFF), (0xFFFFFFFF, 0)):
+            yield key, blob[:at] + struct.pack("<II", rows, cols) + blob[at + 8 :]
+
+
+def test_deserialize_rejects_crafted_matrix_header(demo_keys):
+    for _, blob in crafted_header_blobs(*demo_keys):
+        with pytest.raises(KeyFormatError, match="matrix shape"):
+            deserialize_key(blob)
+
+
+def test_mutated_and_truncated_keys_raise_only_key_format_error(demo_keys):
+    rng = np.random.default_rng(2024)
+    for key in demo_keys:
+        blob = serialize_key(key)
+        for cut in range(len(blob)):
+            with pytest.raises(KeyFormatError):
+                deserialize_key(blob[:cut])
+        for _ in range(300):
+            data = bytearray(blob)
+            for at in rng.integers(0, len(blob), size=rng.integers(1, 4)):
+                data[at] = rng.integers(0, 256)
+            try:
+                deserialize_key(bytes(data))
+            except KeyFormatError:
+                pass
 
 
 def test_preset_params_load():
