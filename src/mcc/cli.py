@@ -115,9 +115,15 @@ def _cmd_keygen(args) -> int:
                 material, _ = parse_inject_json(fh.read(), pf.params)
         except OSError as exc:
             raise _InputError(f"cannot read {args.inject}: {exc}") from exc
-    pub, priv = keyring.keygen(
-        pf.params, pf.g_p, pf.g_q, np.random.default_rng(seed), material=material
-    )
+    try:
+        pub, priv = keyring.keygen(
+            pf.params, pf.g_p, pf.g_q, np.random.default_rng(seed), material=material
+        )
+    except ValueError as exc:
+        # injected draws come from a file; random ones failing is internal
+        if material is None:
+            raise
+        raise _InputError(f"{args.inject}: {exc}") from exc
     keyring.save_key(pub, args.out_pub)
     keyring.save_key(priv, args.out_priv)
     print(f"public key written to {args.out_pub}")

@@ -21,6 +21,9 @@ MAX_MASK_RANK = 20
 MAX_TRELLIS_MEMORY = 16
 # decoders pack one segment's n output bits into a uint8 symbol
 MAX_STREAMS = 8
+# keygen builds dense K x N bit matrices, one byte per bit: at most 256 MiB each
+MAX_K = 1 << 13
+MAX_N = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -77,8 +80,10 @@ class CodeParams:
             raise ValueError(f"p must be in 1..{MAX_TRELLIS_MEMORY}")
         if self.q < 0:
             raise ValueError("q must be nonnegative")
-        if self.K < 1:
-            raise ValueError("K must be positive")
+        if not 1 <= self.K <= MAX_K:
+            raise ValueError(f"K must be in 1..{MAX_K}")
+        if self.N > MAX_N:
+            raise ValueError(f"N = n * (K + p + q) must be at most {MAX_N}")
         if not 0 <= self.l <= MAX_MASK_RANK:
             raise ValueError(f"l must be in 0..{MAX_MASK_RANK}")
         e = Fraction(self.e)

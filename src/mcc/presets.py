@@ -17,7 +17,7 @@ from importlib import resources
 import numpy as np
 
 from .bitlinalg import BitVec, MatF2, Permutation
-from .convcode import CodeParams, PolyGenMatrix
+from .convcode import MAX_N, CodeParams, PolyGenMatrix
 from .gf2poly import BinPoly
 from .keyring import KeyMaterial, MaskBasis
 
@@ -46,6 +46,9 @@ def _parse_poly(token: str) -> BinPoly:
     if token.startswith("[") and token.endswith("]"):
         inner = token[1:-1].strip()
         exps = [int(x) for x in inner.split(",")] if inner else []
+        # every degree a valid file names is below N, which is capped
+        if any(not 0 <= e < MAX_N for e in exps):
+            raise ParamFileError(f"exponent outside 0..{MAX_N - 1} in {token!r}")
         return BinPoly.from_exponents(exps)
     raise ParamFileError(f"cannot parse polynomial {token!r}")
 

@@ -5,6 +5,11 @@ position), so state s on input b moves to ((s << 1) | b) & (2^p - 1) and the
 segment outputs are parities of the (p+1)-bit window against each generator.
 Zero-tail termination is structural: the final p segments admit only the
 zero input, so every decode starts and ends in state 0.
+
+Decoding reads one uint8 branch-metric table: entry [r, h, l, b] is the
+Hamming distance between received symbol r and the output of the window
+(s << 1) | b, where s = h * 2^(p-1) + l is the predecessor state. It takes
+2^(n+p+1) bytes, 32 MB at the n = 8, p = 16 corner.
 """
 
 from __future__ import annotations
@@ -20,13 +25,10 @@ from .convcode import MAX_STREAMS, MAX_TRELLIS_MEMORY, PolyGenMatrix, encode_str
 _INF = np.int32(1 << 29)
 MAX_SEARCH_MEMORY = 12
 _FREE_DISTANCE_BUDGET = 40
-# precomputing per-symbol branch metric tables costs 2^(n+p+1) bytes;
-# beyond this we fall back to per-segment XOR + popcount lookup
-_BM_TABLE_LIMIT = 1 << 24
 
 
 _one64 = np.uint64(1)
-_POP8 = np.bitwise_count(np.arange(256, dtype=np.uint8)).astype(np.int32)
+_POP8 = np.bitwise_count(np.arange(256, dtype=np.uint8))
 
 
 def _window_symbols(polys: PolyGenMatrix) -> np.ndarray:
@@ -61,17 +63,8 @@ class Trellis:
         self.num_states = 1 << p
         self.segments = K + p
         out = _window_symbols(polys)
-        # the window for (state s, input b) is (s << 1) | b; split by the top
-        # bit of the predecessor for the ACS loop
-        self._out_lo = out[: self.num_states]
-        self._out_hi = out[self.num_states :]
-        self._bm_tables = None
-        if (1 << (self.n + p + 1)) <= _BM_TABLE_LIMIT:
-            syms = np.arange(1 << self.n, dtype=np.uint8)[:, None]
-            self._bm_tables = (
-                _POP8[self._out_lo[None, :] ^ syms],
-                _POP8[self._out_hi[None, :] ^ syms],
-            )
+        syms = np.arange(1 << self.n, dtype=np.uint8)
+        self._bm = _POP8[out.reshape(2, self.num_states >> 1, 2) ^ syms[:, None, None, None]]
 
     def __repr__(self) -> str:
         return f"Trellis(n={self.n}, p={self.p}, K={self.K}, states={self.num_states})"
@@ -82,8 +75,6 @@ class DecodeResult:
     """Maximum-likelihood decode of one received word."""
 
     info: BitVec
-    codeword: BitVec
-    error_vector: BitVec
     error_weight: int
 
 
@@ -96,33 +87,22 @@ def _bits_to_symbols(v: BitVec, n: int) -> np.ndarray:
     return (bits << np.arange(n, dtype=np.uint8)).sum(axis=1).astype(np.uint8)
 
 
-def _forward_pass(trellis: Trellis, rsyms: np.ndarray, collect_metrics: bool = False):
-    """ACS recursion; returns final metrics, survivor bits and optional history."""
+def _forward_pass(trellis: Trellis, rsyms: np.ndarray):
+    """ACS recursion; returns final path metrics and survivor bits per segment."""
     ns = trellis.num_states
-    segs = trellis.segments
+    half = ns >> 1
     pm = np.full(ns, _INF, dtype=np.int32)
     pm[0] = 0
-    survivors = np.zeros((segs, ns), dtype=bool)
-    history = [pm.copy()] if collect_metrics else None
-    half = ns >> 1
-    if trellis._bm_tables is not None:
-        bm_lo, bm_hi = trellis._bm_tables
-        get = lambda r: (bm_lo[r], bm_hi[r])
-    else:
-        get = lambda r: (_POP8[trellis._out_lo ^ r], _POP8[trellis._out_hi ^ r])
-    for t in range(segs):
-        b0, b1 = get(rsyms[t])
-        cand0 = np.repeat(pm[:half], 2) + b0
-        cand1 = np.repeat(pm[half:], 2) + b1
+    # survivors[t, j] is the top bit of the predecessor kept for state j
+    survivors = np.empty((trellis.segments, half, 2), dtype=bool)
+    for t in range(trellis.segments):
+        cand = pm.reshape(2, half, 1) + trellis._bm[rsyms[t]]
         # on ties keep the lower-indexed predecessor
-        choose = cand1 < cand0
-        pm = np.where(choose, cand1, cand0)
-        survivors[t] = choose
+        np.less(cand[1], cand[0], out=survivors[t])
+        pm = np.minimum(cand[0], cand[1]).reshape(-1)
         if t >= trellis.K:
             pm[1::2] = _INF
-        if collect_metrics:
-            history.append(pm.copy())
-    return pm, survivors, history
+    return pm, survivors.reshape(trellis.segments, ns)
 
 
 def viterbi_decode(trellis: Trellis, received: BitVec) -> DecodeResult:
@@ -130,7 +110,7 @@ def viterbi_decode(trellis: Trellis, received: BitVec) -> DecodeResult:
     if received.n != trellis.n * trellis.segments:
         raise ValueError("received length does not match the trellis")
     rsyms = _bits_to_symbols(received, trellis.n)
-    pm, survivors, _ = _forward_pass(trellis, rsyms)
+    pm, survivors = _forward_pass(trellis, rsyms)
     bits = np.zeros(trellis.segments, dtype=np.uint8)
     state = 0
     top_shift = trellis.p - 1
@@ -138,11 +118,9 @@ def viterbi_decode(trellis: Trellis, received: BitVec) -> DecodeResult:
         bits[t] = state & 1
         state = (state >> 1) | (int(survivors[t, state]) << top_shift)
     info = BitVec.from_bits(bits[: trellis.K])
-    codeword = encode_streams(info, trellis.polys, trellis.p)
-    error_vector = received ^ codeword
-    weight = error_vector.weight()
+    weight = (received ^ encode_streams(info, trellis.polys, trellis.p)).weight()
     assert weight == int(pm[0]), "path metric disagrees with the survivor path"
-    return DecodeResult(info, codeword, error_vector, weight)
+    return DecodeResult(info, weight)
 
 
 def free_distance(polys: PolyGenMatrix) -> int:

@@ -24,7 +24,7 @@ from mcc.cryptopipe import (
 )
 from mcc.gf2poly import crc_verify
 from mcc.keyring import MaskBasis, PrivateKey, PublicKey
-from mcc.trellis import build_trellis, viterbi_decode
+from mcc.trellis import _INF, Trellis, _window_symbols, build_trellis, viterbi_decode
 
 
 def span_size(basis: MaskBasis) -> int:
@@ -66,6 +66,34 @@ def recover_masked_sum(pub: PublicKey, priv: PrivateKey) -> MatF2:
 def encode_matrix(m: BitVec, polys: PolyGenMatrix, memory: int) -> BitVec:
     """Encode through the expanded scalar matrix; equals encode_streams."""
     return mat_vec_mul(m, expand_scalar(polys, m.n, memory))
+
+
+def reference_forward_pass(trellis: Trellis, rsyms: np.ndarray):
+    """Plain ACS with per-segment XOR + popcount branch metrics.
+
+    Returns the final path metrics, the survivor bits (segments x states)
+    and the metrics after every segment, starting with the initial ones.
+    """
+    ns = trellis.num_states
+    half = ns >> 1
+    out = _window_symbols(trellis.polys)
+    out_lo, out_hi = out[:ns], out[ns:]
+    pm = np.full(ns, _INF, dtype=np.int32)
+    pm[0] = 0
+    survivors = np.zeros((trellis.segments, ns), dtype=bool)
+    history = [pm.copy()]
+    for t in range(trellis.segments):
+        b0 = np.bitwise_count(out_lo ^ rsyms[t]).astype(np.int32)
+        b1 = np.bitwise_count(out_hi ^ rsyms[t]).astype(np.int32)
+        cand0 = np.repeat(pm[:half], 2) + b0
+        cand1 = np.repeat(pm[half:], 2) + b1
+        choose = cand1 < cand0
+        pm = np.where(choose, cand1, cand0)
+        survivors[t] = choose
+        if t >= trellis.K:
+            pm[1::2] = _INF
+        history.append(pm.copy())
+    return pm, survivors, history
 
 
 def reference_decrypt(priv: PrivateKey, ct: Ciphertext, use_gate: bool = True) -> BitVec:

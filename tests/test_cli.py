@@ -5,6 +5,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
+from mcc import BitVec, PolyGenMatrix, demo_fixture, expand_scalar
 from mcc.cli import main
 
 
@@ -199,6 +200,29 @@ def test_exit_code_malformed_inputs(tmp_path):
         "--out-pub", str(tmp_path / "a"), "--out-priv", str(tmp_path / "b"),
     )
     assert code == 2, err
+    # mask row 1 makes row 1 of expand(g_p * g_q) + mask equal row 0
+    demo = demo_fixture()
+    gpq = PolyGenMatrix(tuple(a * b for a, b in zip(demo.g_p.polys, demo.g_q.polys)))
+    rows = expand_scalar(gpq, demo.params.K, demo.params.p + demo.params.q)
+    doc = json.loads(resources.files("mcc").joinpath("data", "demo_inject.json").read_text())
+    mask0 = BitVec.from01(doc["mask_rows"][0])
+    doc["mask_rows"][1] = (rows.row(0) ^ mask0 ^ rows.row(1)).to01()
+    inject.write_text(json.dumps(doc))
+    code, _, err = run_cli(
+        "keygen", "--params", "demo", "--inject", str(inject),
+        "--out-pub", str(tmp_path / "a"), "--out-priv", str(tmp_path / "b"),
+    )
+    assert code == 2, err
+    assert "rank deficient" in err
+    # a K beyond the size cap is refused before keygen allocates anything
+    demo_text = resources.files("mcc").joinpath("data", "demo.params").read_text()
+    params.write_text(demo_text.replace("K = 6", "K = 3000000"))
+    code, _, err = run_cli(
+        "keygen", "--params", str(params),
+        "--out-pub", str(tmp_path / "a"), "--out-priv", str(tmp_path / "b"),
+    )
+    assert code == 2, err
+    assert "K must be" in err
     msg = tmp_path / "short.txt"
     msg.write_text("01")
     code, _, _ = run_cli(

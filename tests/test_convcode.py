@@ -5,6 +5,8 @@ import pytest
 
 from mcc.bitlinalg import BitVec, MatF2, mat_add, rank
 from mcc.convcode import (
+    MAX_K,
+    MAX_N,
     CodeParams,
     PolyGenMatrix,
     deinterleave,
@@ -184,6 +186,16 @@ def test_code_params_invariants():
         CodeParams(n=2, p=2, q=7, K=6, l=2, e=Fraction(1), r_poly=BinPoly.one())
     with pytest.raises(ValueError):
         CodeParams(n=2, p=2, q=7, K=6, l=2, e=Fraction(0), r_poly=BinPoly.zero())
+    # size caps: K and N bound keygen's dense K x N matrices
+    assert CodeParams(
+        n=2, p=2, q=7, K=MAX_K, l=2, e=Fraction(0), r_poly=BinPoly.one()
+    ).N <= MAX_N
+    with pytest.raises(ValueError, match="K must be"):
+        CodeParams(n=2, p=2, q=7, K=MAX_K + 1, l=2, e=Fraction(0), r_poly=BinPoly.one())
+    with pytest.raises(ValueError, match="K must be"):
+        CodeParams(n=2, p=2, q=7, K=3_000_000, l=2, e=Fraction(0), r_poly=BinPoly.one())
+    with pytest.raises(ValueError, match="N = "):
+        CodeParams(n=8, p=2, q=100, K=4000, l=2, e=Fraction(0), r_poly=BinPoly.one())
 
 
 def test_poly_gen_matrix_validation():

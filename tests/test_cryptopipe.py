@@ -271,12 +271,7 @@ def test_candidate_separation_at_desk_scale(desk_keys):
 
 def test_candidate_gate_thresholds(demo):
     params = demo.params
-    decode = DecodeResult(
-        info=BitVec.zeros(6),
-        codeword=BitVec.zeros(16),
-        error_vector=BitVec.zeros(16),
-        error_weight=2,
-    )
+    decode = DecodeResult(info=BitVec.zeros(6), error_weight=2)
     good = CandidateOutcome(0, decode, 0)
     assert candidate_gate(good, params, alpha_estimate=0.0)
     # a wide-parameter wrong candidate sits far above the plausible weight
@@ -284,12 +279,7 @@ def test_candidate_gate_thresholds(demo):
         n=2, p=14, q=186, K=2600, l=5, e=Fraction(1, 50),
         r_poly=BinPoly.from_exponents([0, 5, 12, 16]),
     )
-    bad_decode = DecodeResult(
-        info=BitVec.zeros(2600),
-        codeword=BitVec.zeros(5228),
-        error_vector=BitVec.zeros(5228),
-        error_weight=616,
-    )
+    bad_decode = DecodeResult(info=BitVec.zeros(2600), error_weight=616)
     bad = CandidateOutcome(3, bad_decode, 0)
     assert not candidate_gate(bad, wide, alpha_estimate=280.0)
     assert candidate_gate(bad, wide, alpha_estimate=616.0 - 112.0)
@@ -299,9 +289,9 @@ def test_candidate_gate_zero_channel():
     params = CodeParams(
         n=2, p=2, q=7, K=6, l=0, e=Fraction(0), r_poly=BinPoly.one()
     )
-    decode = DecodeResult(BitVec.zeros(6), BitVec.zeros(16), BitVec.zeros(16), 0)
+    decode = DecodeResult(BitVec.zeros(6), 0)
     assert candidate_gate(CandidateOutcome(0, decode, 0), params, 0.0)
-    decode1 = DecodeResult(BitVec.zeros(6), BitVec.zeros(16), BitVec.zeros(16), 1)
+    decode1 = DecodeResult(BitVec.zeros(6), 1)
     assert not candidate_gate(CandidateOutcome(0, decode1, 0), params, 0.0)
 
 

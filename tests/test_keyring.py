@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mcc.bitlinalg import BitVec, MatF2, Permutation, mat_add, mat_vec_mul, rank
-from mcc.convcode import expand_scalar
+from mcc.convcode import MAX_N, expand_scalar
 from mcc.keyring import (
     KeyFormatError,
     KeyMaterial,
@@ -281,3 +281,15 @@ def test_nine_streams_rejected_in_files(demo_keys):
     blob = serialize_key(demo_keys[0])
     with pytest.raises(KeyFormatError, match="n must be"):
         deserialize_key(blob[:6] + struct.pack("<I", 9) + blob[10:])
+
+
+def test_over_cap_sizes_rejected_in_files(demo_keys):
+    # refused before anything of that size is allocated
+    blob = serialize_key(demo_keys[0])
+    with pytest.raises(KeyFormatError, match="K must be"):
+        deserialize_key(blob[:18] + struct.pack("<I", 3_000_000) + blob[22:])
+    text = "n = 2\np = 2\nq = 7\nK = 6\nl = 2\ne = 1/10\ng_p = [0,2]; [0,1,2]\n"
+    with pytest.raises(ParamFileError, match="exponent outside"):
+        parse_param_file(text + f"g_q = [0,7]; [{MAX_N}]\n")
+    with pytest.raises(ParamFileError, match="K must be"):
+        parse_param_file(text.replace("K = 6", "K = 3000000") + "g_q = [0,7]; [7]\n")

@@ -5,13 +5,13 @@ from mcc.bitlinalg import BitVec
 from mcc.convcode import PolyGenMatrix, encode_streams
 from mcc.gf2poly import BinPoly
 from mcc.trellis import (
-    Trellis,
     _forward_pass,
     _bits_to_symbols,
     build_trellis,
     free_distance,
     viterbi_decode,
 )
+from oracles import reference_forward_pass
 
 GP = PolyGenMatrix.from_exponent_lists([[0, 2], [0, 1, 2]])
 D3 = "0111100010101100"
@@ -77,8 +77,7 @@ def test_reference_decode_weight_two():
     res = viterbi_decode(t, BitVec.from01(D3))
     assert res.info.to01() == "110110"
     assert res.error_weight == 2
-    assert res.codeword == encode_streams(res.info, GP, 2)
-    assert res.error_vector == res.codeword ^ BitVec.from01(D3)
+    assert (encode_streams(res.info, GP, 2) ^ BitVec.from01(D3)).weight() == 2
 
 
 def test_reference_other_candidates_decode_worse():
@@ -128,12 +127,39 @@ def test_optimality_against_brute_force():
         assert res.error_weight == brute_force_min_distance(received, polys, k)
 
 
+def test_n8_p16_corner_decodes_optimally():
+    # the largest branch-metric table CodeParams admits: 2^(8+16+1) bytes
+    rng = np.random.default_rng(19)
+    polys = PolyGenMatrix(
+        tuple(BinPoly(int(rng.integers(0, 1 << 17)) | 1 | (1 << 16)) for _ in range(8))
+    )
+    t = build_trellis(polys, 3)
+    assert t._bm.dtype == np.uint8
+    assert t._bm.nbytes == 1 << 25
+    received = BitVec.random(t.n * t.segments, rng)
+    res = viterbi_decode(t, received)
+    assert res.error_weight == brute_force_min_distance(received, polys, 3)
+
+
+def test_forward_pass_matches_reference(desk):
+    rng = np.random.default_rng(23)
+    cases = [(GP, 8), (desk.g_p, 40)] + [(random_code(rng), 6) for _ in range(10)]
+    for polys, k in cases:
+        t = build_trellis(polys, k)
+        for _ in range(3):
+            rsyms = _bits_to_symbols(BitVec.random(t.n * t.segments, rng), t.n)
+            pm, survivors = _forward_pass(t, rsyms)
+            ref_pm, ref_survivors, _ = reference_forward_pass(t, rsyms)
+            assert np.array_equal(pm, ref_pm)
+            assert np.array_equal(survivors, ref_survivors)
+
+
 def test_path_metrics_never_decrease():
     rng = np.random.default_rng(13)
     t = build_trellis(GP, 8)
     received = BitVec.random(t.n * t.segments, rng)
     rsyms = _bits_to_symbols(received, t.n)
-    pm, survivors, history = _forward_pass(t, rsyms, collect_metrics=True)
+    pm, survivors, history = reference_forward_pass(t, rsyms)
     state = 0
     metrics = [int(pm[0])]
     for seg in range(t.segments - 1, -1, -1):
