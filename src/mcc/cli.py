@@ -157,11 +157,13 @@ def _cmd_decrypt(args) -> int:
             ct = cryptopipe.deserialize_ciphertext(fh.read())
     except OSError as exc:
         raise _InputError(f"cannot read {args.infile}: {exc}") from exc
+    if ct.bits.n != priv.params.N:
+        raise _InputError(f"ciphertext has {ct.bits.n} bits; the key expects N = {priv.params.N}")
     try:
         plaintext = cryptopipe.decrypt(priv, pub, ct, use_gate=not args.no_gate)
     except cryptopipe.DecryptionFailure as exc:
         print("decryption failed; request retransmission", file=sys.stderr)
-        print(f"candidate error weights: {exc.candidate_weights}", file=sys.stderr)
+        print(f"candidate error weights: {exc.weights_text()}", file=sys.stderr)
         return EXIT_DECRYPT_FAILED
     _write_plaintext(args.out, plaintext, args.format)
     if args.out is not None:

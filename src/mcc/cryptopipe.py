@@ -1,27 +1,30 @@
-"""Encryption and the candidate-enumeration decryption pipeline.
+"""Encryption and the best-first candidate decryption pipeline.
 
 Encryption appends a CRC, multiplies by the public matrix and flips each
-ciphertext bit independently. Decryption undoes the column permutation,
-subtracts every span element of the mask basis (Gray-code order, one basis
-XOR per step), inverts the high-memory polynomial factor of each stream by
-division, Viterbi-decodes all 2^l candidates, and accepts the best-ranked
-candidate that passes the CRC and a weight plausibility gate.
+ciphertext bit independently. Decryption undoes the column permutation and
+tests every unmasking hypothesis (c_tilde minus a span element of the mask
+basis). Stream division is linear, so it runs once on c_tilde and once per
+basis vector, and a Gray-code walk of XORs gives each hypothesis's quotient
+and remainder. Hypotheses are decoded in remainder-weight order, and each
+Viterbi decode stops once it can no longer win; the accepted candidate is
+the same as if every hypothesis had been decoded in full.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .bitlinalg import BitVec, mat_vec_mul, permute
 from .convcode import CodeParams, PolyGenMatrix, deinterleave, interleave
 from .gf2poly import BinPoly, crc_append, crc_verify, poly_divmod
-from .keyring import KeyFormatError, MaskBasis, PrivateKey, PublicKey
-from .trellis import DecodeResult, Trellis, build_trellis, viterbi_decode
+from .keyring import KeyFormatError, PrivateKey, PublicKey
+from .trellis import DecodeResult, build_trellis, viterbi_decode
 
 _CT_MAGIC = b"MCCc"
 _CT_VERSION = 1
@@ -38,17 +41,26 @@ class CandidateOutcome:
 
     mask_index: int
     decode: DecodeResult
-    remainder_weight: int
 
 
 class DecryptionFailure(Exception):
-    """No candidate passed the CRC and gate; retransmission is advised."""
+    """No candidate passed the CRC and gate; retransmission is advised.
 
-    def __init__(self, candidate_weights: list[int]):
+    ``candidate_weights[i]`` is the error weight of mask index i. Where
+    ``lower_bound[i]`` is set it is only a lower bound: that decode stopped
+    once its weight could no longer pass the gate.
+    """
+
+    def __init__(self, candidate_weights: list[int], lower_bound: list[bool]):
         self.candidate_weights = candidate_weights
-        super().__init__(
-            f"decryption failed; candidate error weights {candidate_weights}"
-        )
+        self.lower_bound = lower_bound
+        super().__init__(f"decryption failed; candidate error weights {self.weights_text()}")
+
+    def weights_text(self) -> str:
+        """The weights by mask index, a lower bound w printed as >=w."""
+        return "[" + ", ".join(
+            f">={w}" if lb else str(w) for w, lb in zip(self.candidate_weights, self.lower_bound)
+        ) + "]"
 
 
 def encrypt(
@@ -73,18 +85,17 @@ def encrypt(
     return Ciphertext(c ^ error)
 
 
-def enumerate_candidates(c_tilde: BitVec, basis: MaskBasis) -> Iterator[BitVec]:
-    """Yield c_tilde minus every span element, Gray-code ordered.
+def enumerate_candidates(start, steps: Sequence) -> Iterator:
+    """Yield start XOR every span element of steps, Gray-code ordered.
 
-    Step i toggles exactly one basis vector; index 0 is the zero element.
+    Step i toggles exactly one of the steps; index 0 is start itself. Given
+    the mask basis it lists the unmasking hypotheses of a ciphertext; given
+    the basis vectors' quotients or remainders it lists theirs.
     """
-    if basis.l and basis.vectors[0].n != c_tilde.n:
-        raise ValueError("length mismatch")
-    current = c_tilde
+    current = start
     yield current
-    for i in range(1, 1 << basis.l):
-        flip = (i & -i).bit_length() - 1
-        current = current ^ basis.vectors[flip]
+    for i in range(1, 1 << len(steps)):
+        current = current ^ steps[(i & -i).bit_length() - 1]
         yield current
 
 
@@ -94,20 +105,23 @@ def invert_highmem(
     """Divide each deinterleaved stream by its high-memory polynomial.
 
     Quotients are truncated or zero-padded to K + p coefficients and
-    re-interleaved; remainders are ignored apart from their total weight,
-    which is reported for diagnostics.
+    re-interleaved. The remainders are packed into one int, stream j at bit
+    offset deg(g_q[0]) + ... + deg(g_q[j-1]). Both outputs are linear in the
+    candidate.
     """
     if candidate.n != params.N:
         raise ValueError("candidate length mismatch")
     quot_len = params.K + params.p
     streams = []
-    rem_weight = 0
+    remainders = 0
+    offset = 0
     for j, q_j in enumerate(g_q.polys):
         stream = BinPoly.from_bitvec(deinterleave(candidate, params.n, j))
         quot, rem = poly_divmod(stream, q_j)
         streams.append(quot.truncate(quot_len).to_bitvec(quot_len))
-        rem_weight += rem.weight
-    return interleave(streams), rem_weight
+        remainders |= rem.value << offset
+        offset += q_j.degree
+    return interleave(streams), remainders
 
 
 @lru_cache(maxsize=16)
@@ -121,21 +135,31 @@ def _default_alpha(g_q: PolyGenMatrix, e: float, stream_len: int) -> float:
     return est.alpha_total
 
 
+def _gate_threshold(params: CodeParams, alpha_estimate: float) -> float:
+    """Largest corrected weight the gate accepts: e*N + alpha + 4 sigma."""
+    e = float(params.e)
+    margin = 4.0 * (params.N * e * (1.0 - e)) ** 0.5
+    return e * params.N + alpha_estimate + margin
+
+
 def candidate_gate(
     outcome: CandidateOutcome, params: CodeParams, alpha_estimate: float
 ) -> bool:
     """Accept only decodes whose corrected weight is plausible for the channel."""
-    e = float(params.e)
-    margin = 4.0 * (params.N * e * (1.0 - e)) ** 0.5
-    return outcome.decode.error_weight <= e * params.N + alpha_estimate + margin
+    return outcome.decode.error_weight <= _gate_threshold(params, alpha_estimate)
 
 
-def _decode_candidate(
-    index: int, candidate: BitVec, g_q: PolyGenMatrix, params: CodeParams, trellis: Trellis
-) -> CandidateOutcome:
-    quotient, rem_weight = invert_highmem(candidate, g_q, params)
-    decode = viterbi_decode(trellis, quotient)
-    return CandidateOutcome(index, decode, rem_weight)
+def _divide_hypotheses(c_tilde: BitVec, priv: PrivateKey) -> tuple[list[BitVec], list[int]]:
+    """Quotient and remainder weight of every hypothesis, by mask index.
+
+    Division is linear, so c_tilde and the l basis vectors are divided once
+    and the 2^l hypotheses follow the Gray-code walk of enumerate_candidates.
+    """
+    q0, r0 = invert_highmem(c_tilde, priv.g_q, priv.params)
+    divided = [invert_highmem(v, priv.g_q, priv.params) for v in priv.mask_basis.vectors]
+    quotients = list(enumerate_candidates(q0, [q for q, _ in divided]))
+    rem_weights = [r.bit_count() for r in enumerate_candidates(r0, [r for _, r in divided])]
+    return quotients, rem_weights
 
 
 def decrypt(
@@ -143,29 +167,48 @@ def decrypt(
 ) -> BitVec:
     """Recover the plaintext or raise DecryptionFailure with all weights.
 
-    Candidates are ranked by (error weight, mask index), so the result is
-    deterministic.
+    The result is the candidate with the least (error weight, mask index)
+    that passes the CRC and, with use_gate, the gate. Candidates are decoded
+    in (remainder weight, mask index) order; the remainder weight only
+    orders them. Each decode is bounded by what would still change the
+    result: before any candidate is accepted, the gate threshold (no bound
+    without the gate); after, the best weight, or one less for a larger mask
+    index. A decode that exceeds its bound stops with a lower bound.
     """
     params = priv.params
     if ct.bits.n != params.N:
         raise ValueError("ciphertext length mismatch")
     c_tilde = permute(ct.bits, priv.perm, inverse=True)
+    quotients, rem_weights = _divide_hypotheses(c_tilde, priv)
     trellis = build_trellis(priv.g_p, params.K)
-    outcomes = [
-        _decode_candidate(i, cand, priv.g_q, params, trellis)
-        for i, cand in enumerate(enumerate_candidates(c_tilde, priv.mask_basis))
-    ]
-    outcomes.sort(key=lambda o: (o.decode.error_weight, o.mask_index))
     if use_gate:
         alpha = _default_alpha(priv.g_q, float(params.e), params.K + params.p + params.q)
-    for outcome in outcomes:
-        m_r = mat_vec_mul(outcome.decode.info, priv.s_inv)
+        gate_bound = math.floor(_gate_threshold(params, alpha))
+    else:
+        gate_bound = None
+    weights = [0] * len(quotients)
+    lower_bound = [False] * len(quotients)
+    best = None  # (error weight, mask index, m_r) of the accepted candidate
+    for i in sorted(range(len(quotients)), key=lambda j: (rem_weights[j], j)):
+        if best is None:
+            bound = gate_bound
+        else:
+            bound = best[0] if i < best[1] else best[0] - 1
+        decode = viterbi_decode(trellis, quotients[i], bound)
+        weights[i] = decode.error_weight
+        if decode.info is None:
+            lower_bound[i] = True
+            continue
+        m_r = mat_vec_mul(decode.info, priv.s_inv)
         if not crc_verify(m_r, params.r_poly):
             continue
+        outcome = CandidateOutcome(i, decode)
         if use_gate and not candidate_gate(outcome, params, alpha):
             continue
-        return BitVec.from_bits(m_r.to_bits()[: params.plaintext_len])
-    raise DecryptionFailure([o.decode.error_weight for o in outcomes])
+        best = (decode.error_weight, i, m_r)
+    if best is None:
+        raise DecryptionFailure(weights, lower_bound)
+    return BitVec.from_bits(best[2].to_bits()[: params.plaintext_len])
 
 
 def serialize_ciphertext(ct: Ciphertext) -> bytes:

@@ -10,6 +10,10 @@ Decoding reads one uint8 branch-metric table: entry [r, h, l, b] is the
 Hamming distance between received symbol r and the output of the window
 (s << 1) | b, where s = h * 2^(p-1) + l is the predecessor state. It takes
 2^(n+p+1) bytes, 32 MB at the n = 8, p = 16 corner.
+
+A decode can be given a bound. Path metrics never decrease along a path, so
+once every state's metric exceeds the bound the final weight must too, and
+the decode stops there with that minimum as a lower bound on the weight.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ from .convcode import MAX_STREAMS, MAX_TRELLIS_MEMORY, PolyGenMatrix, encode_str
 _INF = np.int32(1 << 29)
 MAX_SEARCH_MEMORY = 12
 _FREE_DISTANCE_BUDGET = 40
+# segments between two comparisons of the minimum path metric with a bound
+_BOUND_INTERVAL = 16
 
 
 _one64 = np.uint64(1)
@@ -72,9 +78,13 @@ class Trellis:
 
 @dataclass(frozen=True)
 class DecodeResult:
-    """Maximum-likelihood decode of one received word."""
+    """Maximum-likelihood decode of one received word.
 
-    info: BitVec
+    ``info`` is None when a bounded decode stopped early; ``error_weight`` is
+    then a lower bound on the weight, and above the bound.
+    """
+
+    info: BitVec | None
     error_weight: int
 
 
@@ -87,14 +97,20 @@ def _bits_to_symbols(v: BitVec, n: int) -> np.ndarray:
     return (bits << np.arange(n, dtype=np.uint8)).sum(axis=1).astype(np.uint8)
 
 
-def _forward_pass(trellis: Trellis, rsyms: np.ndarray):
-    """ACS recursion; returns final path metrics and survivor bits per segment."""
+def _forward_pass(trellis: Trellis, rsyms: np.ndarray, bound: int | None = None):
+    """ACS recursion; returns final path metrics and survivor bits per segment.
+
+    With a bound, every _BOUND_INTERVAL segments and after the last one the
+    minimum metric is compared with it; once it is larger the pass stops and
+    returns the current metrics with survivors None.
+    """
     ns = trellis.num_states
     half = ns >> 1
     pm = np.full(ns, _INF, dtype=np.int32)
     pm[0] = 0
     # survivors[t, j] is the top bit of the predecessor kept for state j
     survivors = np.empty((trellis.segments, half, 2), dtype=bool)
+    last = trellis.segments - 1
     for t in range(trellis.segments):
         cand = pm.reshape(2, half, 1) + trellis._bm[rsyms[t]]
         # on ties keep the lower-indexed predecessor
@@ -102,15 +118,27 @@ def _forward_pass(trellis: Trellis, rsyms: np.ndarray):
         pm = np.minimum(cand[0], cand[1]).reshape(-1)
         if t >= trellis.K:
             pm[1::2] = _INF
+        if bound is not None and (t % _BOUND_INTERVAL == _BOUND_INTERVAL - 1 or t == last):
+            if pm.min() > bound:
+                return pm, None
     return pm, survivors.reshape(trellis.segments, ns)
 
 
-def viterbi_decode(trellis: Trellis, received: BitVec) -> DecodeResult:
-    """Minimum-Hamming-distance zero-tail path; deterministic tie-breaks."""
+def viterbi_decode(
+    trellis: Trellis, received: BitVec, bound: int | None = None
+) -> DecodeResult:
+    """Minimum-Hamming-distance zero-tail path; deterministic tie-breaks.
+
+    With a bound, a word whose weight exceeds it comes back as
+    DecodeResult(None, lower_bound) with bound < lower_bound <= weight; any
+    other word is decoded in full.
+    """
     if received.n != trellis.n * trellis.segments:
         raise ValueError("received length does not match the trellis")
     rsyms = _bits_to_symbols(received, trellis.n)
-    pm, survivors = _forward_pass(trellis, rsyms)
+    pm, survivors = _forward_pass(trellis, rsyms, bound)
+    if survivors is None:
+        return DecodeResult(None, int(pm.min()))
     bits = np.zeros(trellis.segments, dtype=np.uint8)
     state = 0
     top_shift = trellis.p - 1

@@ -96,21 +96,29 @@ def reference_forward_pass(trellis: Trellis, rsyms: np.ndarray):
     return pm, survivors, history
 
 
-def reference_decrypt(priv: PrivateKey, ct: Ciphertext, use_gate: bool = True) -> BitVec:
-    """One candidate at a time: unmask, divide, decode, then rank and accept.
-
-    Every candidate is decoded in full before ranking by (error weight, mask
-    index); the first to pass the CRC and, when asked, the gate wins. This is
-    the result any faster decrypt must reproduce, failures included.
-    """
+def reference_outcomes(priv: PrivateKey, ct: Ciphertext) -> list[CandidateOutcome]:
+    """Every unmasking hypothesis divided and decoded in full, by mask index."""
     params = priv.params
     c_tilde = permute(ct.bits, priv.perm, inverse=True)
     trellis = build_trellis(priv.g_p, params.K)
     outcomes = []
-    for i, cand in enumerate(enumerate_candidates(c_tilde, priv.mask_basis)):
-        quotient, rem_weight = invert_highmem(cand, priv.g_q, params)
-        decode = viterbi_decode(trellis, quotient)
-        outcomes.append(CandidateOutcome(i, decode, rem_weight))
+    for i, cand in enumerate(enumerate_candidates(c_tilde, priv.mask_basis.vectors)):
+        quotient, _ = invert_highmem(cand, priv.g_q, params)
+        outcomes.append(CandidateOutcome(i, viterbi_decode(trellis, quotient)))
+    return outcomes
+
+
+def reference_decrypt(priv: PrivateKey, ct: Ciphertext, use_gate: bool = True) -> BitVec:
+    """One candidate at a time: unmask, divide, decode, then rank and accept.
+
+    Every candidate is divided and decoded in full before ranking by (error
+    weight, mask index); the first to pass the CRC and, when asked, the gate
+    wins. On failure the weights are reported by mask index, all exact. This
+    is the result any faster decrypt must reproduce, failures included.
+    """
+    params = priv.params
+    outcomes = reference_outcomes(priv, ct)
+    weights = [o.decode.error_weight for o in outcomes]
     outcomes.sort(key=lambda o: (o.decode.error_weight, o.mask_index))
     alpha = _default_alpha(priv.g_q, float(params.e), params.K + params.p + params.q)
     for outcome in outcomes:
@@ -120,4 +128,4 @@ def reference_decrypt(priv: PrivateKey, ct: Ciphertext, use_gate: bool = True) -
         if use_gate and not candidate_gate(outcome, params, alpha):
             continue
         return BitVec.from_bits(m_r.to_bits()[: params.plaintext_len])
-    raise DecryptionFailure([o.decode.error_weight for o in outcomes])
+    raise DecryptionFailure(weights, [False] * len(weights))

@@ -29,7 +29,7 @@ from mcc.gf2poly import BinPoly, poly_divmod
 from mcc.keyring import keygen
 from mcc.presets import demo_fixture, load_preset
 from mcc.trellis import build_trellis, free_distance, viterbi_decode
-from oracles import recover_masked_sum
+from oracles import recover_masked_sum, reference_outcomes
 
 
 def criterion(num, name, budget_s=None):
@@ -107,7 +107,7 @@ def test_criterion_01_golden():
     # candidate decoding: the all-ones unmasking wins with weight 2
     trellis = build_trellis(fx.g_p, 6)
     outcomes = []
-    for i, cand in enumerate(enumerate_candidates(c_tilde, priv.mask_basis)):
+    for i, cand in enumerate(enumerate_candidates(c_tilde, priv.mask_basis.vectors)):
         word, _ = invert_highmem(cand, fx.g_q, fx.params)
         outcomes.append((i, word, viterbi_decode(trellis, word)))
     winner = min(outcomes, key=lambda o: o[2].error_weight)
@@ -289,18 +289,10 @@ def test_criterion_09_full_scale():
     assert ok >= 18, f"only {ok}/20 trials recovered the plaintext"
 
     # candidate separation on a sample of full decodes
-    from mcc.cryptopipe import _decode_candidate
-    from mcc.trellis import build_trellis as _bt
-
-    trellis = _bt(priv.g_p, priv.params.K)
     for _ in range(3):
         m = BitVec.random(bench.params.plaintext_len, rng)
         ct = encrypt(pub, m, rng)
-        c_tilde = permute(ct.bits, priv.perm, inverse=True)
-        weights = sorted(
-            _decode_candidate(i, cand, priv.g_q, priv.params, trellis).decode.error_weight
-            for i, cand in enumerate(enumerate_candidates(c_tilde, priv.mask_basis))
-        )
+        weights = sorted(o.decode.error_weight for o in reference_outcomes(priv, ct))
         assert weights[0] < weights[1], "winner not separated from the field"
         separated += 1
     return f"{ok}/20 recovered; {separated}/3 sampled decodes cleanly separated"

@@ -229,6 +229,22 @@ def test_exit_code_malformed_inputs(tmp_path):
         "encrypt", "--pub", str(bad), "--in", str(msg), "--out", str(tmp_path / "c")
     )
     assert code == 2
+    # a well-formed ciphertext file whose length is not the key's N = 30
+    from mcc.cryptopipe import Ciphertext, serialize_ciphertext
+
+    pub, priv = tmp_path / "d.pub", tmp_path / "d.priv"
+    code, _, err = run_cli(
+        "keygen", "--params", "demo", "--out-pub", str(pub), "--out-priv", str(priv),
+        "--seed", "3",
+    )
+    assert code == 0, err
+    short_ct = tmp_path / "short.ct"
+    short_ct.write_bytes(serialize_ciphertext(Ciphertext(BitVec.zeros(7))))
+    code, _, err = run_cli(
+        "decrypt", "--priv", str(priv), "--pub", str(pub), "--in", str(short_ct)
+    )
+    assert code == 2, err
+    assert err.startswith("error: ") and "N = 30" in err
 
 
 def test_exit_code_malformed_key_files(demo_files, tmp_path):
@@ -274,6 +290,8 @@ def test_exit_code_decrypt_failure(tmp_path):
     code, _, err = run_cli("decrypt", "--priv", str(priv), "--pub", str(pub), "--in", str(ct))
     assert code == 3
     assert "retransmission" in err
+    # decodes stopped at the gate bound print their weight as a lower bound
+    assert ">=" in err
 
 
 def test_seed_is_printed_when_omitted(tmp_path, demo_files):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,11 @@ from mcc.bitlinalg import BitVec, mat_vec_mul, permute
 from mcc.convcode import CodeParams, PolyGenMatrix, deinterleave, encode_streams, interleave
 from mcc.cryptopipe import (
     CandidateOutcome,
+    Ciphertext,
     DecryptionFailure,
+    _default_alpha,
+    _divide_hypotheses,
+    _gate_threshold,
     candidate_gate,
     decrypt,
     deserialize_ciphertext,
@@ -19,7 +24,7 @@ from mcc.cryptopipe import (
 from mcc.gf2poly import BinPoly, poly_divmod
 from mcc.keyring import KeyFormatError
 from mcc.trellis import DecodeResult
-from oracles import reference_decrypt, span_contains, span_element_for_index
+from oracles import reference_decrypt, reference_outcomes, span_contains, span_element_for_index
 
 STREAM0_POLY = BinPoly.from_exponents([7, 10, 14])
 STREAM1_POLY = BinPoly.from_exponents([0, 1, 2, 3, 4, 5, 6, 9, 10, 11, 12, 14])
@@ -72,7 +77,7 @@ def test_enumerate_candidates_gray_order(demo, demo_keys):
     pub, priv = demo_keys
     rng = np.random.default_rng(3)
     c_tilde = BitVec.random(30, rng)
-    cands = list(enumerate_candidates(c_tilde, priv.mask_basis))
+    cands = list(enumerate_candidates(c_tilde, priv.mask_basis.vectors))
     assert len(cands) == 4
     assert cands[0] == c_tilde
     # successive candidates differ by exactly one basis vector
@@ -87,10 +92,8 @@ def test_enumerate_candidates_gray_order(demo, demo_keys):
 
 
 def test_enumerate_candidates_empty_basis(demo_keys):
-    from mcc.keyring import MaskBasis
-
     v = BitVec.from01("1010")
-    assert list(enumerate_candidates(v, MaskBasis(()))) == [v]
+    assert list(enumerate_candidates(v, ())) == [v]
 
 
 def test_demo_candidates_cover_reference_streams(demo, demo_keys):
@@ -100,7 +103,7 @@ def test_demo_candidates_cover_reference_streams(demo, demo_keys):
     ones15 = BinPoly.from_exponents(range(15))
     seen0 = set()
     seen1 = set()
-    for cand in enumerate_candidates(c_tilde, priv.mask_basis):
+    for cand in enumerate_candidates(c_tilde, priv.mask_basis.vectors):
         seen0.add(deinterleave(cand, 2, 0).to_int())
         seen1.add(deinterleave(cand, 2, 1).to_int())
     assert seen0 == {STREAM0_POLY.value, (STREAM0_POLY + ones15).value}
@@ -115,14 +118,15 @@ def test_invert_highmem_reference_quotients(demo):
     cand = interleave(
         [(STREAM0_POLY + ones15).to_bitvec(15), (STREAM1_POLY + ones15).to_bitvec(15)]
     )
-    word, rem_weight = invert_highmem(cand, g_q, params)
+    word, rem = invert_highmem(cand, g_q, params)
     assert word.to01() == "0111100010101100"
-    # remainders: 1 + x^3 on stream 0, zero on stream 1
-    assert rem_weight == 2
+    # remainders: 1 + x^3 on stream 0 (bits 0..6), zero on stream 1 (bits 7..13)
+    assert rem == 0b1001
     cand0 = interleave([STREAM0_POLY.to_bitvec(15), STREAM1_POLY.to_bitvec(15)])
     word0, rem0 = invert_highmem(cand0, g_q, params)
     assert word0.to01() == "0000011101010011"
-    assert rem0 == 1 + 7  # x^3 and the dense degree-6 remainder
+    # x^3 on stream 0 and the dense degree-6 remainder on stream 1
+    assert rem0 == (1 << 3) | (0b1111111 << 7)
 
 
 def test_invert_highmem_noiseless_composition(demo):
@@ -132,9 +136,9 @@ def test_invert_highmem_noiseless_composition(demo):
     for _ in range(100):
         m = BitVec.random(params.K, rng)
         cand = encode_streams(m, gpq, params.p + params.q)
-        word, rem_weight = invert_highmem(cand, demo.g_q, params)
+        word, rem = invert_highmem(cand, demo.g_q, params)
         assert word == encode_streams(m, demo.g_p, params.p)
-        assert rem_weight == 0
+        assert rem == 0
 
 
 def test_superposition_of_code_and_error_quotients(demo, demo_keys):
@@ -194,13 +198,41 @@ def _decrypt_outcome(fn, *args, **kwargs):
     try:
         return "plaintext", fn(*args, **kwargs)
     except DecryptionFailure as exc:
-        return "failure", exc.candidate_weights
+        return "failure", exc
+
+
+def _gate_bound(priv):
+    params = priv.params
+    alpha = _default_alpha(priv.g_q, float(params.e), params.K + params.p + params.q)
+    return math.floor(_gate_threshold(params, alpha))
+
+
+def _assert_matches_reference(priv, pub, ct, use_gate):
+    """Same plaintext, or a failure whose weights agree with the reference.
+
+    Exact entries must equal the reference weight. A lower-bound entry comes
+    only from a gated decode that stopped above the gate bound, so it must
+    lie above that bound and at or below the reference weight.
+    """
+    kind, got = _decrypt_outcome(decrypt, priv, pub, ct, use_gate=use_gate)
+    ref_kind, ref = _decrypt_outcome(reference_decrypt, priv, ct, use_gate=use_gate)
+    assert kind == ref_kind
+    if kind == "plaintext":
+        assert got == ref
+        return kind
+    assert not any(ref.lower_bound)
+    assert len(got.candidate_weights) == len(ref.candidate_weights)
+    bound = _gate_bound(priv)
+    for w, lb, ref_w in zip(got.candidate_weights, got.lower_bound, ref.candidate_weights):
+        if lb:
+            assert use_gate and bound < w <= ref_w
+        else:
+            assert w == ref_w
+    return kind
 
 
 @pytest.mark.parametrize("use_gate", [True, False])
 def test_decrypt_matches_reference_pipeline(demo, demo_keys, desk_keys, use_gate):
-    from mcc.cryptopipe import Ciphertext
-
     rng = np.random.default_rng(17)
     golden = encrypt(demo_keys[0], demo.message, rng, error=demo.error_vector)
     cases = [(demo_keys, golden)]
@@ -215,11 +247,17 @@ def test_decrypt_matches_reference_pipeline(demo, demo_keys, desk_keys, use_gate
     m = BitVec.random(params.plaintext_len, rng)
     cases.append((desk_keys, encrypt(desk_keys[0], m, rng, error=heavy)))
     cases.append((desk_keys, Ciphertext(BitVec.random(params.N, rng))))
+    # channel noise plus 12 or 24 extra errors: near and beyond the gate,
+    # where decodes are pruned at the gate bound and some fail
+    for extra in (12, 24):
+        for _ in range(10):
+            m = BitVec.random(params.plaintext_len, rng)
+            flips = BitVec.from_indices(params.N, rng.choice(params.N, extra, replace=False))
+            ct = encrypt(desk_keys[0], m, rng)
+            cases.append((desk_keys, Ciphertext(ct.bits ^ flips)))
     kinds = set()
     for (pub, priv), ct in cases:
-        got = _decrypt_outcome(decrypt, priv, pub, ct, use_gate=use_gate)
-        assert got == _decrypt_outcome(reference_decrypt, priv, ct, use_gate=use_gate)
-        kinds.add(got[0])
+        kinds.add(_assert_matches_reference(priv, pub, ct, use_gate))
     assert kinds == {"plaintext", "failure"}
 
 
@@ -234,8 +272,6 @@ def test_decrypt_determinism(desk_keys):
 
 
 def test_decrypt_failure_reports_all_weights(desk_keys):
-    from mcc.cryptopipe import Ciphertext
-
     pub, priv = desk_keys
     rng = np.random.default_rng(23)
     garbage = Ciphertext(BitVec.random(pub.params.N, rng))
@@ -244,25 +280,54 @@ def test_decrypt_failure_reports_all_weights(desk_keys):
     weights = err.value.candidate_weights
     assert len(weights) == 16
     assert all(w > 0 for w in weights)
+    bound = _gate_bound(priv)
+    assert all(w > bound for w, lb in zip(weights, err.value.lower_bound) if lb)
+    assert any(err.value.lower_bound)
+    text = err.value.weights_text()
+    assert text.count(">=") == sum(err.value.lower_bound)
+    assert text.count(",") == 15
+    # without the gate no decode has a bound, so every weight is exact
+    with pytest.raises(DecryptionFailure) as err:
+        decrypt(priv, pub, garbage, use_gate=False)
+    assert not any(err.value.lower_bound)
+
+
+@pytest.fixture(scope="module")
+def bench_b_keys():
+    from mcc.keyring import keygen
+    from mcc.presets import load_preset
+
+    bench = load_preset("bench-b")
+    return keygen(bench.params, bench.g_p, bench.g_q, np.random.default_rng(37))
+
+
+@pytest.mark.parametrize("keys", ["demo_keys", "desk_keys", "bench_b_keys"])
+def test_divide_hypotheses_matches_per_candidate_division(keys, request):
+    # one division of c_tilde and of each basis vector, then Gray-code XORs,
+    # gives every hypothesis's quotient and remainder weight
+    pub, priv = request.getfixturevalue(keys)
+    rng = np.random.default_rng(41)
+    for ct in (encrypt(pub, BitVec.random(pub.params.plaintext_len, rng), rng),
+               Ciphertext(BitVec.random(pub.params.N, rng))):
+        c_tilde = permute(ct.bits, priv.perm, inverse=True)
+        quotients, rem_weights = _divide_hypotheses(c_tilde, priv)
+        cands = list(enumerate_candidates(c_tilde, priv.mask_basis.vectors))
+        assert len(quotients) == len(rem_weights) == len(cands) == 1 << priv.params.l
+        for cand, quotient, rem_weight in zip(cands, quotients, rem_weights):
+            want_q, want_r = invert_highmem(cand, priv.g_q, priv.params)
+            assert quotient == want_q
+            assert rem_weight == want_r.bit_count()
 
 
 def test_candidate_separation_at_desk_scale(desk_keys):
     pub, priv = desk_keys
     rng = np.random.default_rng(29)
-    from mcc.cryptopipe import _decode_candidate
-    from mcc.trellis import build_trellis
-
-    trellis = build_trellis(priv.g_p, priv.params.K)
     separated = 0
     trials = 10
     for _ in range(trials):
         m = BitVec.random(pub.params.plaintext_len, rng)
         ct = encrypt(pub, m, rng)
-        c_tilde = permute(ct.bits, priv.perm, inverse=True)
-        weights = []
-        for i, cand in enumerate(enumerate_candidates(c_tilde, priv.mask_basis)):
-            outcome = _decode_candidate(i, cand, priv.g_q, priv.params, trellis)
-            weights.append(outcome.decode.error_weight)
+        weights = [o.decode.error_weight for o in reference_outcomes(priv, ct)]
         best = min(weights)
         if sum(1 for w in weights if w == best) == 1:
             separated += 1
@@ -272,7 +337,7 @@ def test_candidate_separation_at_desk_scale(desk_keys):
 def test_candidate_gate_thresholds(demo):
     params = demo.params
     decode = DecodeResult(info=BitVec.zeros(6), error_weight=2)
-    good = CandidateOutcome(0, decode, 0)
+    good = CandidateOutcome(0, decode)
     assert candidate_gate(good, params, alpha_estimate=0.0)
     # a wide-parameter wrong candidate sits far above the plausible weight
     wide = CodeParams(
@@ -280,7 +345,7 @@ def test_candidate_gate_thresholds(demo):
         r_poly=BinPoly.from_exponents([0, 5, 12, 16]),
     )
     bad_decode = DecodeResult(info=BitVec.zeros(2600), error_weight=616)
-    bad = CandidateOutcome(3, bad_decode, 0)
+    bad = CandidateOutcome(3, bad_decode)
     assert not candidate_gate(bad, wide, alpha_estimate=280.0)
     assert candidate_gate(bad, wide, alpha_estimate=616.0 - 112.0)
 
@@ -290,22 +355,18 @@ def test_candidate_gate_zero_channel():
         n=2, p=2, q=7, K=6, l=0, e=Fraction(0), r_poly=BinPoly.one()
     )
     decode = DecodeResult(BitVec.zeros(6), 0)
-    assert candidate_gate(CandidateOutcome(0, decode, 0), params, 0.0)
+    assert candidate_gate(CandidateOutcome(0, decode), params, 0.0)
     decode1 = DecodeResult(BitVec.zeros(6), 1)
-    assert not candidate_gate(CandidateOutcome(0, decode1, 0), params, 0.0)
+    assert not candidate_gate(CandidateOutcome(0, decode1), params, 0.0)
 
 
-def test_round_trip_with_propagating_divisors():
+def test_round_trip_with_propagating_divisors(bench_b_keys):
     # the wide preset divides by a trinomial and a binomial, so the decoder
     # input carries division-amplified noise end to end
-    from mcc.keyring import keygen
-    from mcc.presets import load_preset
-
-    bench = load_preset("bench-b")
-    pub, priv = keygen(bench.params, bench.g_p, bench.g_q, np.random.default_rng(37))
+    pub, priv = bench_b_keys
     rng = np.random.default_rng(38)
     for _ in range(2):
-        m = BitVec.random(bench.params.plaintext_len, rng)
+        m = BitVec.random(pub.params.plaintext_len, rng)
         ct = encrypt(pub, m, rng)
         assert decrypt(priv, pub, ct) == m
 

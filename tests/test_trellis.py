@@ -148,10 +148,37 @@ def test_forward_pass_matches_reference(desk):
         t = build_trellis(polys, k)
         for _ in range(3):
             rsyms = _bits_to_symbols(BitVec.random(t.n * t.segments, rng), t.n)
-            pm, survivors = _forward_pass(t, rsyms)
+            pm, survivors = _forward_pass(t, rsyms, bound=None)
             ref_pm, ref_survivors, _ = reference_forward_pass(t, rsyms)
             assert np.array_equal(pm, ref_pm)
             assert np.array_equal(survivors, ref_survivors)
+
+
+def test_bounded_decode_is_exact_or_a_lower_bound(desk):
+    # a bounded decode equals the full one when the weight is within the
+    # bound; otherwise it stops with bound < lower bound <= weight
+    rng = np.random.default_rng(29)
+    cases = [(GP, 40), (desk.g_p, 60)] + [(random_code(rng), 30) for _ in range(6)]
+    stopped_early = 0
+    for polys, k in cases:
+        t = build_trellis(polys, k)
+        for flips in (0, 3, 12, None):
+            cw = encode_streams(BitVec.random(k, rng), polys, t.p)
+            if flips is None:
+                received = BitVec.random(cw.n, rng)
+            else:
+                received = cw ^ BitVec.from_indices(cw.n, rng.choice(cw.n, flips, replace=False))
+            full = viterbi_decode(t, received)
+            w = full.error_weight
+            for bound in sorted({-1, 0, w // 2} | set(range(w - 2, w + 3))):
+                res = viterbi_decode(t, received, bound)
+                if w <= bound:
+                    assert res == full
+                else:
+                    assert res.info is None
+                    assert bound < res.error_weight <= w
+                    stopped_early += res.error_weight < w
+    assert stopped_early > 0
 
 
 def test_path_metrics_never_decrease():
