@@ -1,8 +1,9 @@
 """Quantitative tooling: error propagation, distance bounds, attack cost.
 
-Everything here is a pure function of its arguments. Complexity figures are
-reported in log2 because the raw counts overflow fixed-width floats at the
-parameter scales of interest.
+Everything here is a pure function of its arguments; nothing is sampled. The
+error propagation of stream division (alpha) has a closed form, which the
+decryption gate reads. Complexity figures are reported in log2 because the
+raw counts overflow fixed-width floats at the parameter scales of interest.
 """
 
 from __future__ import annotations
@@ -14,28 +15,9 @@ import numpy as np
 
 from .bitlinalg import MatF2
 from .convcode import PolyGenMatrix
-from .gf2poly import BinPoly
+from .gf2poly import BinPoly, poly_divmod
 
 _LOG2_029 = math.log2(0.29)
-
-
-@dataclass(frozen=True)
-class AlphaEstimate:
-    """Monte Carlo estimate of the extra errors created by stream division.
-
-    per_stream holds the mean weight increase of each stream's quotient
-    relative to the raw error stream; pure-shift divisors come out near zero
-    (slightly negative, since error bits below the divisor degree fall into
-    the discarded remainder).
-    """
-
-    per_stream: tuple[float, ...]
-    trials: int
-    stream_len: int
-
-    @property
-    def alpha_total(self) -> float:
-        return float(sum(self.per_stream))
 
 
 @dataclass(frozen=True)
@@ -64,67 +46,30 @@ class KeyRandomnessReport:
     mean_col_weight_z: float
 
 
-def batch_quotient_weights(bits: np.ndarray, divisor: BinPoly, quot_len: int) -> np.ndarray:
-    """Weight of each row's polynomial quotient by `divisor`, truncated.
+def estimate_alpha(g_q: PolyGenMatrix, e: float, stream_len: int) -> tuple[float, ...]:
+    """Exact mean quotient-weight increase of each stream under Bernoulli(e) errors.
 
-    Synthetic division run column-wise over a (trials, stream_len) bit
-    matrix; row r gets the weight of (row_r(x) div divisor) restricted to
-    the quot_len lowest coefficients. Matches poly_divmod bit for bit, which
-    the test suite asserts.
+    Division by q_j is linear: quotient bit i is the XOR of the input bits k
+    whose quotient floor(x^k / q_j) has bit i set, and there are
+    w_i = popcount(s >> i) of them, s being the quotient of x^(stream_len-1).
+    By the piling-up lemma the bit is 1 with probability (1 - (1-2e)^w_i)/2.
+    The sum over the stream_len - deg(g_q) coefficients that decryption
+    keeps, less the e * stream_len input errors, is the stream's alpha; a
+    pure shift gives -e * deg(g_q), the errors that fall into the remainder
+    or the truncated top.
     """
-    if not divisor.value:
-        raise ZeroDivisionError("division by the zero polynomial")
-    bits = np.array(bits, dtype=np.uint8)
-    trials, stream_len = bits.shape
-    d = divisor.degree
-    lower = [o for o in divisor.exponents() if o < d]
-    width = stream_len - d
-    if width <= 0:
-        return np.zeros(trials, dtype=np.int64)
-    quot = np.zeros((trials, width), dtype=np.uint8)
-    for i in range(stream_len - 1, d - 1, -1):
-        qbit = bits[:, i]
-        quot[:, i - d] = qbit
-        for o in lower:
-            bits[:, i - d + o] ^= qbit
-    return quot[:, : min(quot_len, width)].sum(axis=1).astype(np.int64)
-
-
-def estimate_alpha(
-    g_q: PolyGenMatrix,
-    e: float,
-    stream_len: int,
-    trials: int,
-    rng: np.random.Generator,
-) -> AlphaEstimate:
-    """Mean quotient-weight increase per stream over random error streams.
-
-    Each trial draws an independent Bernoulli(e) stream per polynomial,
-    divides it, truncates the quotient to stream_len - q coefficients (the
-    same truncation decryption applies) and accumulates the weight change.
-    Trials are processed in fixed-size batches through the column-wise
-    divider, so the draw order depends only on (stream_len, trials).
-    """
-    if trials < 1:
-        raise ValueError("need at least one trial")
     if not 0 <= e < 1:
         raise ValueError("e must lie in [0, 1)")
     quot_len = stream_len - g_q.memory
     if quot_len <= 0:
         raise ValueError("stream shorter than the divisor degree")
-    chunk = max(1, min(trials, (8 << 20) // stream_len))
-    totals = [0] * g_q.n
-    for j, q_j in enumerate(g_q.polys):
-        remaining = trials
-        while remaining:
-            t = min(chunk, remaining)
-            bits = (rng.random((t, stream_len)) < e).astype(np.uint8)
-            wt_in = int(bits.sum())
-            wt_out = int(batch_quotient_weights(bits, q_j, quot_len).sum())
-            totals[j] += wt_out - wt_in
-            remaining -= t
-    per_stream = tuple(t / trials for t in totals)
-    return AlphaEstimate(per_stream=per_stream, trials=trials, stream_len=stream_len)
+    per_stream = []
+    for q_j in g_q.polys:
+        s, _ = poly_divmod(BinPoly.x_pow(stream_len - 1), q_j)
+        bits = s.to_bitvec(stream_len).to_bits()
+        w = np.cumsum(bits[::-1], dtype=np.int64)[::-1][:quot_len]
+        per_stream.append(float(np.sum((1.0 - (1.0 - 2.0 * e) ** w) / 2.0)) - e * stream_len)
+    return tuple(per_stream)
 
 
 def effective_error_rate(e: float, alpha: float, N: int) -> float:

@@ -172,6 +172,15 @@ def _cmd_decrypt(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    """Out-of-range values (rates, sizes, stream lengths) are input errors."""
+    try:
+        _analyze(args)
+    except ValueError as exc:
+        raise _InputError(str(exc)) from exc
+    return EXIT_OK
+
+
+def _analyze(args) -> None:
     if args.what == "isd":
         report = analysis.security_report(args.n, args.k, args.t, args.l, args.p)
         pairs = [
@@ -197,23 +206,16 @@ def _cmd_analyze(args) -> int:
     elif args.what == "alpha":
         pf = load_params(args.params)
         stream_len = args.stream_len or (pf.params.K + pf.params.p + pf.params.q)
-        seed = _resolve_seed(args.seed, sys.stdout)
-        est = analysis.estimate_alpha(
-            pf.g_q, float(pf.params.e), stream_len, args.trials, np.random.default_rng(seed)
-        )
+        e = float(pf.params.e)
+        per_stream = analysis.estimate_alpha(pf.g_q, e, stream_len)
+        alpha = sum(per_stream)
         N = pf.params.n * stream_len
         pairs = [
-            ("trials", est.trials),
-            ("stream_len", est.stream_len),
-            ("per_stream", ",".join(_fmt_float(v) for v in est.per_stream)),
-            ("alpha_total", _fmt_float(est.alpha_total)),
-            ("alpha_over_N", _fmt_float(est.alpha_total / N)),
-            (
-                "effective_error_rate",
-                _fmt_float(
-                    analysis.effective_error_rate(float(pf.params.e), est.alpha_total, N)
-                ),
-            ),
+            ("stream_len", stream_len),
+            ("per_stream", ",".join(_fmt_float(v) for v in per_stream)),
+            ("alpha_total", _fmt_float(alpha)),
+            ("alpha_over_N", _fmt_float(alpha / N)),
+            ("effective_error_rate", _fmt_float(analysis.effective_error_rate(e, alpha, N))),
         ]
         _emit(pairs, args.json)
     elif args.what == "failure":
@@ -244,12 +246,13 @@ def _cmd_analyze(args) -> int:
             ("mean_col_weight_z", _fmt_float(rep.mean_col_weight_z)),
         ]
         _emit(pairs, args.json)
-    return EXIT_OK
 
 
 def _cmd_simulate(args) -> int:
     pf = load_params(args.params)
     seed = args.seed if args.seed is not None else pf.seed
+    if args.trials < 1:
+        raise _InputError("--trials must be at least 1")
     seed = _resolve_seed(seed, sys.stdout)
     seq = np.random.SeedSequence(seed)
     key_seed, *trial_seeds = seq.spawn(args.trials + 1)
@@ -342,9 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     alp = anasub.add_parser("alpha", help="division error propagation")
     alp.add_argument("--params", required=True)
-    alp.add_argument("--trials", type=int, default=1000)
     alp.add_argument("--stream-len", type=int)
-    alp.add_argument("--seed", type=int)
     alp.add_argument("--json")
     alp.set_defaults(func=_cmd_analyze)
 

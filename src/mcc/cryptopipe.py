@@ -7,7 +7,10 @@ basis). Stream division is linear, so it runs once on c_tilde and once per
 basis vector, and a Gray-code walk of XORs gives each hypothesis's quotient
 and remainder. Hypotheses are decoded in remainder-weight order, and each
 Viterbi decode stops once it can no longer win; the accepted candidate is
-the same as if every hypothesis had been decoded in full.
+the same as if every hypothesis had been decoded in full. The gate, a
+weight bound computed exactly from the parameters and the divisors, is the
+first of those decode bounds, so no accepted decode is checked against it
+again.
 """
 
 from __future__ import annotations
@@ -15,16 +18,16 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
 
+from .analysis import estimate_alpha
 from .bitlinalg import BitVec, mat_vec_mul, permute
 from .convcode import CodeParams, PolyGenMatrix, deinterleave, interleave
 from .gf2poly import BinPoly, crc_append, crc_verify, poly_divmod
 from .keyring import KeyFormatError, PrivateKey, PublicKey
-from .trellis import DecodeResult, build_trellis, viterbi_decode
+from .trellis import build_trellis, viterbi_decode
 
 _CT_MAGIC = b"MCCc"
 _CT_VERSION = 1
@@ -33,14 +36,6 @@ _CT_VERSION = 1
 @dataclass(frozen=True)
 class Ciphertext:
     bits: BitVec
-
-
-@dataclass(frozen=True)
-class CandidateOutcome:
-    """Result of one unmasking hypothesis."""
-
-    mask_index: int
-    decode: DecodeResult
 
 
 class DecryptionFailure(Exception):
@@ -124,29 +119,16 @@ def invert_highmem(
     return interleave(streams), remainders
 
 
-@lru_cache(maxsize=16)
-def _default_alpha(g_q: PolyGenMatrix, e: float, stream_len: int) -> float:
-    """Deterministic small-sample propagation estimate used by the gate."""
-    from .analysis import estimate_alpha
+def candidate_gate(params: CodeParams, g_q: PolyGenMatrix) -> int:
+    """Largest corrected weight plausible for the channel: floor(e*N + alpha + 4 sigma).
 
-    if e == 0.0:
-        return 0.0
-    est = estimate_alpha(g_q, e, stream_len, trials=128, rng=np.random.default_rng(0))
-    return est.alpha_total
-
-
-def _gate_threshold(params: CodeParams, alpha_estimate: float) -> float:
-    """Largest corrected weight the gate accepts: e*N + alpha + 4 sigma."""
+    alpha is the exact mean weight that stream division adds (estimate_alpha)
+    and sigma the standard deviation of the Binomial(N, e) channel weight.
+    """
     e = float(params.e)
+    alpha = sum(estimate_alpha(g_q, e, params.K + params.p + params.q))
     margin = 4.0 * (params.N * e * (1.0 - e)) ** 0.5
-    return e * params.N + alpha_estimate + margin
-
-
-def candidate_gate(
-    outcome: CandidateOutcome, params: CodeParams, alpha_estimate: float
-) -> bool:
-    """Accept only decodes whose corrected weight is plausible for the channel."""
-    return outcome.decode.error_weight <= _gate_threshold(params, alpha_estimate)
+    return math.floor(e * params.N + alpha + margin)
 
 
 def _divide_hypotheses(c_tilde: BitVec, priv: PrivateKey) -> tuple[list[BitVec], list[int]]:
@@ -171,9 +153,11 @@ def decrypt(
     that passes the CRC and, with use_gate, the gate. Candidates are decoded
     in (remainder weight, mask index) order; the remainder weight only
     orders them. Each decode is bounded by what would still change the
-    result: before any candidate is accepted, the gate threshold (no bound
+    result: before any candidate is accepted, the gate bound (no bound
     without the gate); after, the best weight, or one less for a larger mask
-    index. A decode that exceeds its bound stops with a lower bound.
+    index. A decode that exceeds its bound stops with a lower bound, and one
+    that finishes has weight at most its bound, so every finished decode has
+    passed the gate.
     """
     params = priv.params
     if ct.bits.n != params.N:
@@ -181,11 +165,7 @@ def decrypt(
     c_tilde = permute(ct.bits, priv.perm, inverse=True)
     quotients, rem_weights = _divide_hypotheses(c_tilde, priv)
     trellis = build_trellis(priv.g_p, params.K)
-    if use_gate:
-        alpha = _default_alpha(priv.g_q, float(params.e), params.K + params.p + params.q)
-        gate_bound = math.floor(_gate_threshold(params, alpha))
-    else:
-        gate_bound = None
+    gate_bound = candidate_gate(params, priv.g_q) if use_gate else None
     weights = [0] * len(quotients)
     lower_bound = [False] * len(quotients)
     best = None  # (error weight, mask index, m_r) of the accepted candidate
@@ -201,9 +181,6 @@ def decrypt(
             continue
         m_r = mat_vec_mul(decode.info, priv.s_inv)
         if not crc_verify(m_r, params.r_poly):
-            continue
-        outcome = CandidateOutcome(i, decode)
-        if use_gate and not candidate_gate(outcome, params, alpha):
             continue
         best = (decode.error_weight, i, m_r)
     if best is None:

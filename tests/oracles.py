@@ -1,5 +1,7 @@
 """Slow reference implementations that tests compare the package against."""
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from mcc.bitlinalg import (
@@ -14,17 +16,23 @@ from mcc.bitlinalg import (
 )
 from mcc.convcode import PolyGenMatrix, expand_scalar
 from mcc.cryptopipe import (
-    CandidateOutcome,
     Ciphertext,
     DecryptionFailure,
-    _default_alpha,
     candidate_gate,
     enumerate_candidates,
     invert_highmem,
 )
-from mcc.gf2poly import crc_verify
+from mcc.gf2poly import BinPoly, crc_verify, poly_divmod
 from mcc.keyring import MaskBasis, PrivateKey, PublicKey
-from mcc.trellis import _INF, Trellis, _window_symbols, build_trellis, viterbi_decode
+from mcc.trellis import _INF, DecodeResult, Trellis, _window_symbols, build_trellis, viterbi_decode
+
+
+@dataclass(frozen=True)
+class CandidateOutcome:
+    """Result of one unmasking hypothesis."""
+
+    mask_index: int
+    decode: DecodeResult
 
 
 def span_size(basis: MaskBasis) -> int:
@@ -66,6 +74,63 @@ def recover_masked_sum(pub: PublicKey, priv: PrivateKey) -> MatF2:
 def encode_matrix(m: BitVec, polys: PolyGenMatrix, memory: int) -> BitVec:
     """Encode through the expanded scalar matrix; equals encode_streams."""
     return mat_vec_mul(m, expand_scalar(polys, m.n, memory))
+
+
+def batch_quotient_weights(bits: np.ndarray, divisor: BinPoly, quot_len: int) -> np.ndarray:
+    """Weight of each row's polynomial quotient by `divisor`, truncated.
+
+    Synthetic division run column-wise over a (trials, stream_len) bit
+    matrix; row r gets the weight of (row_r(x) div divisor) restricted to
+    the quot_len lowest coefficients.
+    """
+    if not divisor.value:
+        raise ZeroDivisionError("division by the zero polynomial")
+    bits = np.array(bits, dtype=np.uint8)
+    trials, stream_len = bits.shape
+    d = divisor.degree
+    lower = [o for o in divisor.exponents() if o < d]
+    width = stream_len - d
+    if width <= 0:
+        return np.zeros(trials, dtype=np.int64)
+    quot = np.zeros((trials, width), dtype=np.uint8)
+    for i in range(stream_len - 1, d - 1, -1):
+        qbit = bits[:, i]
+        quot[:, i - d] = qbit
+        for o in lower:
+            bits[:, i - d + o] ^= qbit
+    return quot[:, : min(quot_len, width)].sum(axis=1).astype(np.int64)
+
+
+def monte_carlo_alpha(
+    g_q: PolyGenMatrix, e: float, stream_len: int, trials: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Sampled quotient-weight increase, shape (trials, streams).
+
+    Each trial draws an independent Bernoulli(e) stream per polynomial,
+    divides it, truncates the quotient to stream_len - deg(g_q) coefficients
+    (the truncation decryption applies) and records the weight change. The
+    column means estimate analysis.estimate_alpha.
+    """
+    quot_len = stream_len - g_q.memory
+    out = np.zeros((trials, g_q.n), dtype=np.int64)
+    for j, q_j in enumerate(g_q.polys):
+        bits = (rng.random((trials, stream_len)) < e).astype(np.uint8)
+        out[:, j] = batch_quotient_weights(bits, q_j, quot_len) - bits.sum(axis=1)
+    return out
+
+
+def unit_vector_alpha(g_q: PolyGenMatrix, e: float, stream_len: int) -> tuple[float, ...]:
+    """Closed-form alpha with each w_i counted by dividing every unit vector x^k."""
+    quot_len = stream_len - g_q.memory
+    per_stream = []
+    for q_j in g_q.polys:
+        w = [0] * quot_len
+        for k in range(stream_len):
+            quot, _ = poly_divmod(BinPoly.x_pow(k), q_j)
+            for i in range(quot_len):
+                w[i] += (quot.value >> i) & 1
+        per_stream.append(sum((1 - (1 - 2 * e) ** wi) / 2 for wi in w) - e * stream_len)
+    return tuple(per_stream)
 
 
 def reference_forward_pass(trellis: Trellis, rsyms: np.ndarray):
@@ -120,12 +185,12 @@ def reference_decrypt(priv: PrivateKey, ct: Ciphertext, use_gate: bool = True) -
     outcomes = reference_outcomes(priv, ct)
     weights = [o.decode.error_weight for o in outcomes]
     outcomes.sort(key=lambda o: (o.decode.error_weight, o.mask_index))
-    alpha = _default_alpha(priv.g_q, float(params.e), params.K + params.p + params.q)
+    threshold = candidate_gate(params, priv.g_q)
     for outcome in outcomes:
         m_r = mat_vec_mul(outcome.decode.info, priv.s_inv)
         if not crc_verify(m_r, params.r_poly):
             continue
-        if use_gate and not candidate_gate(outcome, params, alpha):
+        if use_gate and outcome.decode.error_weight > threshold:
             continue
         return BitVec.from_bits(m_r.to_bits()[: params.plaintext_len])
     raise DecryptionFailure(weights, [False] * len(weights))

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from mcc.analysis import (
-    batch_quotient_weights,
     binary_entropy,
     effective_error_rate,
     estimate_alpha,
@@ -19,6 +18,8 @@ from mcc.analysis import (
 from mcc.bitlinalg import MatF2
 from mcc.convcode import PolyGenMatrix
 from mcc.gf2poly import BinPoly, poly_divmod
+from mcc.presets import load_preset
+from oracles import batch_quotient_weights, monte_carlo_alpha, unit_vector_alpha
 
 
 def exact_isd_log2(n, k, t):
@@ -57,41 +58,73 @@ def test_batch_divider_matches_poly_divmod():
 
 def test_estimate_alpha_pure_shift_does_not_propagate():
     # a monomial divisor just slides the stream; the only weight change is
-    # the handful of error bits that drop into the discarded remainder
+    # the error bits that drop into the discarded remainder
     gq = PolyGenMatrix.from_exponent_lists([[40]])
-    est = estimate_alpha(gq, 0.05, 500, 400, np.random.default_rng(3))
-    assert est.per_stream[0] <= 0.0
-    assert abs(est.per_stream[0]) <= 0.05 * 40 * 2
+    (alpha,) = estimate_alpha(gq, 0.05, 500)
+    assert alpha == pytest.approx(-0.05 * 40, abs=1e-12)
 
 
 def test_estimate_alpha_binomial_divisor_propagates():
     gq = PolyGenMatrix.from_exponent_lists([[0, 50]])
-    est = estimate_alpha(gq, 0.02, 1000, 400, np.random.default_rng(5))
-    assert est.per_stream[0] > 50  # each error spawns a chain of copies
+    (alpha,) = estimate_alpha(gq, 0.02, 1000)
+    assert alpha > 50  # each error spawns a chain of copies
 
 
 def test_estimate_alpha_reference_rate_small_sample():
     gq = PolyGenMatrix.from_exponent_lists([[93], [0, 186]])
-    est = estimate_alpha(gq, 0.02, 2800, 1500, np.random.default_rng(7))
-    eff = effective_error_rate(0.02, est.alpha_total, 5600)
+    alpha = sum(estimate_alpha(gq, 0.02, 2800))
+    eff = effective_error_rate(0.02, alpha, 5600)
     assert abs(eff - 0.07) <= 0.01
-
-
-def test_estimate_alpha_stability():
-    gq = PolyGenMatrix.from_exponent_lists([[93], [0, 186]])
-    a = estimate_alpha(gq, 0.02, 2800, 3000, np.random.default_rng(11)).alpha_total
-    b = estimate_alpha(gq, 0.02, 2800, 3000, np.random.default_rng(12)).alpha_total
-    assert abs(a - b) / abs(a) < 0.05
 
 
 def test_estimate_alpha_validation():
     gq = PolyGenMatrix.from_exponent_lists([[0, 5]])
     with pytest.raises(ValueError):
-        estimate_alpha(gq, 0.1, 100, 0, np.random.default_rng(0))
+        estimate_alpha(gq, 1.5, 100)
     with pytest.raises(ValueError):
-        estimate_alpha(gq, 1.5, 100, 10, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        estimate_alpha(gq, 0.1, 4, 10, np.random.default_rng(0))
+        estimate_alpha(gq, 0.1, 4)
+
+
+def test_estimate_alpha_matches_brute_force():
+    # small divisors, with truncation (stream 0 has lower degree than g_q)
+    # and e = 0: every w_i counted by dividing each unit vector x^k
+    cases = [
+        ([[3], [0, 1, 5]], 0.1, 40),
+        ([[0, 2], [1, 4, 6]], 0.1, 33),
+        ([[0, 7]], 0.25, 30),
+        ([[0, 1, 2, 4], [2]], 0.0, 25),
+    ]
+    for exps, e, stream_len in cases:
+        gq = PolyGenMatrix.from_exponent_lists(exps)
+        assert estimate_alpha(gq, e, stream_len) == pytest.approx(
+            unit_vector_alpha(gq, e, stream_len), abs=1e-9
+        )
+    # the piling-up lemma itself: the expectation over all 2^10 error words
+    gq = PolyGenMatrix.from_exponent_lists([[0, 2, 3]])
+    e, stream_len = 0.15, 10
+    expected = 0.0
+    for word in range(1 << stream_len):
+        wt = word.bit_count()
+        quot, _ = poly_divmod(BinPoly(word), gq.polys[0])
+        expected += e**wt * (1 - e) ** (stream_len - wt) * (quot.value.bit_count() - wt)
+    assert estimate_alpha(gq, e, stream_len)[0] == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "name", ["desk", "bench-a", "bench-b", "criterion-06"]
+)
+def test_estimate_alpha_within_monte_carlo_error(name):
+    if name == "criterion-06":
+        gq, e, stream_len = PolyGenMatrix.from_exponent_lists([[93], [0, 186]]), 0.02, 2800
+    else:
+        pf = load_preset(name)
+        gq, e = pf.g_q, float(pf.params.e)
+        stream_len = pf.params.K + pf.params.p + pf.params.q
+    samples = monte_carlo_alpha(gq, e, stream_len, 2000, np.random.default_rng(6))
+    mean = samples.mean(axis=0)
+    se = samples.std(axis=0, ddof=1) / math.sqrt(len(samples))
+    exact = np.array(estimate_alpha(gq, e, stream_len))
+    assert np.all(np.abs(exact - mean) <= 4 * se)
 
 
 def test_effective_error_rate():

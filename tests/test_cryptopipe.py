@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,12 +6,9 @@ import pytest
 from mcc.bitlinalg import BitVec, mat_vec_mul, permute
 from mcc.convcode import CodeParams, PolyGenMatrix, deinterleave, encode_streams, interleave
 from mcc.cryptopipe import (
-    CandidateOutcome,
     Ciphertext,
     DecryptionFailure,
-    _default_alpha,
     _divide_hypotheses,
-    _gate_threshold,
     candidate_gate,
     decrypt,
     deserialize_ciphertext,
@@ -23,7 +19,7 @@ from mcc.cryptopipe import (
 )
 from mcc.gf2poly import BinPoly, poly_divmod
 from mcc.keyring import KeyFormatError
-from mcc.trellis import DecodeResult
+from mcc.presets import load_preset
 from oracles import reference_decrypt, reference_outcomes, span_contains, span_element_for_index
 
 STREAM0_POLY = BinPoly.from_exponents([7, 10, 14])
@@ -201,12 +197,6 @@ def _decrypt_outcome(fn, *args, **kwargs):
         return "failure", exc
 
 
-def _gate_bound(priv):
-    params = priv.params
-    alpha = _default_alpha(priv.g_q, float(params.e), params.K + params.p + params.q)
-    return math.floor(_gate_threshold(params, alpha))
-
-
 def _assert_matches_reference(priv, pub, ct, use_gate):
     """Same plaintext, or a failure whose weights agree with the reference.
 
@@ -222,7 +212,7 @@ def _assert_matches_reference(priv, pub, ct, use_gate):
         return kind
     assert not any(ref.lower_bound)
     assert len(got.candidate_weights) == len(ref.candidate_weights)
-    bound = _gate_bound(priv)
+    bound = candidate_gate(priv.params, priv.g_q)
     for w, lb, ref_w in zip(got.candidate_weights, got.lower_bound, ref.candidate_weights):
         if lb:
             assert use_gate and bound < w <= ref_w
@@ -242,7 +232,7 @@ def test_decrypt_matches_reference_pipeline(demo, demo_keys, desk_keys, use_gate
             m = BitVec.random(pub.params.plaintext_len, rng)
             cases.append((keys, encrypt(pub, m, rng)))
     params = desk_keys[0].params
-    # 24 errors decode to a CRC-valid weight above the gate bound (~17)
+    # 24 errors decode to a CRC-valid weight above the gate bound (15)
     heavy = BitVec.from_indices(params.N, rng.choice(params.N, 24, replace=False))
     m = BitVec.random(params.plaintext_len, rng)
     cases.append((desk_keys, encrypt(desk_keys[0], m, rng, error=heavy)))
@@ -280,7 +270,7 @@ def test_decrypt_failure_reports_all_weights(desk_keys):
     weights = err.value.candidate_weights
     assert len(weights) == 16
     assert all(w > 0 for w in weights)
-    bound = _gate_bound(priv)
+    bound = candidate_gate(priv.params, priv.g_q)
     assert all(w > bound for w, lb in zip(weights, err.value.lower_bound) if lb)
     assert any(err.value.lower_bound)
     text = err.value.weights_text()
@@ -295,7 +285,6 @@ def test_decrypt_failure_reports_all_weights(desk_keys):
 @pytest.fixture(scope="module")
 def bench_b_keys():
     from mcc.keyring import keygen
-    from mcc.presets import load_preset
 
     bench = load_preset("bench-b")
     return keygen(bench.params, bench.g_p, bench.g_q, np.random.default_rng(37))
@@ -335,29 +324,33 @@ def test_candidate_separation_at_desk_scale(desk_keys):
 
 
 def test_candidate_gate_thresholds(demo):
-    params = demo.params
-    decode = DecodeResult(info=BitVec.zeros(6), error_weight=2)
-    good = CandidateOutcome(0, decode)
-    assert candidate_gate(good, params, alpha_estimate=0.0)
-    # a wide-parameter wrong candidate sits far above the plausible weight
+    assert 2 <= candidate_gate(demo.params, demo.g_q)
+    # a wide-parameter wrong candidate of weight 616 sits far above the
+    # plausible weight, unless the divisors propagate much more
     wide = CodeParams(
         n=2, p=14, q=186, K=2600, l=5, e=Fraction(1, 50),
         r_poly=BinPoly.from_exponents([0, 5, 12, 16]),
     )
-    bad_decode = DecodeResult(info=BitVec.zeros(2600), error_weight=616)
-    bad = CandidateOutcome(3, bad_decode)
-    assert not candidate_gate(bad, wide, alpha_estimate=280.0)
-    assert candidate_gate(bad, wide, alpha_estimate=616.0 - 112.0)
+    half = PolyGenMatrix.from_exponent_lists([[93], [0, 186]])
+    assert candidate_gate(wide, half) < 616
+    binomials = PolyGenMatrix.from_exponent_lists([[0, 186], [0, 186]])
+    assert 616 <= candidate_gate(wide, binomials)
 
 
 def test_candidate_gate_zero_channel():
     params = CodeParams(
         n=2, p=2, q=7, K=6, l=0, e=Fraction(0), r_poly=BinPoly.one()
     )
-    decode = DecodeResult(BitVec.zeros(6), 0)
-    assert candidate_gate(CandidateOutcome(0, decode), params, 0.0)
-    decode1 = DecodeResult(BitVec.zeros(6), 1)
-    assert not candidate_gate(CandidateOutcome(0, decode1), params, 0.0)
+    # weight 0 is accepted, weight 1 is not
+    assert candidate_gate(params, PolyGenMatrix.from_exponent_lists([[7], [0, 7]])) == 0
+
+
+@pytest.mark.parametrize(
+    "name, bound", [("demo", 8), ("desk", 15), ("bench-a", 146), ("bench-b", 379)]
+)
+def test_candidate_gate_preset_bounds(name, bound):
+    pf = load_preset(name)
+    assert candidate_gate(pf.params, pf.g_q) == bound
 
 
 def test_round_trip_with_propagating_divisors(bench_b_keys):
