@@ -1,145 +1,36 @@
 """Public-key encryption from masked high-memory convolutional codes."""
 
-from .analysis import (
-    KeyRandomnessReport,
-    SecurityReport,
-    effective_error_rate,
-    estimate_alpha,
-    gilbert_relative_distance,
-    isd_log2,
-    key_randomness_report,
-    qisd_log2,
-    security_report,
-    window_failure,
-)
-from .bitlinalg import (
-    BitVec,
-    MatF2,
-    Permutation,
-    mat_add,
-    mat_mul,
-    mat_vec_mul,
-    permute,
-    rank,
-    rank_invert,
-    random_nonsingular,
-    random_permutation,
-)
-from .convcode import (
-    CodeParams,
-    PolyGenMatrix,
-    deinterleave,
-    encode_streams,
-    expand_scalar,
-    interleave,
-)
+from .bitlinalg import BitVec
 from .cryptopipe import (
-    Ciphertext,
     DecryptionFailure,
-    candidate_gate,
     decrypt,
     deserialize_ciphertext,
     encrypt,
-    enumerate_candidates,
-    invert_highmem,
     serialize_ciphertext,
 )
-from .gf2poly import BinPoly, crc_append, crc_verify, poly_divmod, poly_mul
-from .keyring import (
-    KeyFormatError,
-    KeyMaterial,
-    MaskBasis,
-    PrivateKey,
-    PublicKey,
-    deserialize_key,
-    gen_mask_basis,
-    gen_mask_matrix,
-    keygen,
-    load_key,
-    save_key,
-    serialize_key,
-)
-from .presets import (
-    DEFAULT_CRC_POLY,
-    PRESET_NAMES,
-    DemoFixture,
-    ParamFile,
-    ParamFileError,
-    demo_fixture,
-    load_params,
-    load_preset,
-    parse_param_file,
-)
-from .trellis import DecodeResult, Trellis, build_trellis, free_distance, viterbi_decode
+from .keyring import KeyFormatError, deserialize_key, keygen, load_key, save_key, serialize_key
+from .presets import ParamFileError, load_preset
+
+# perfbench/selftest.py deletes and restores mcc.viterbi_decode to check that
+# a lost span label is reported; the name must stay here until it stops.
+from .trellis import viterbi_decode
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinPoly",
     "BitVec",
-    "Ciphertext",
-    "CodeParams",
-    "DEFAULT_CRC_POLY",
-    "DecodeResult",
     "DecryptionFailure",
-    "DemoFixture",
     "KeyFormatError",
-    "KeyMaterial",
-    "KeyRandomnessReport",
-    "MaskBasis",
-    "MatF2",
-    "ParamFile",
     "ParamFileError",
-    "Permutation",
-    "PolyGenMatrix",
-    "PRESET_NAMES",
-    "PrivateKey",
-    "PublicKey",
-    "SecurityReport",
-    "Trellis",
-    "build_trellis",
-    "candidate_gate",
-    "crc_append",
-    "crc_verify",
     "decrypt",
-    "deinterleave",
-    "demo_fixture",
     "deserialize_ciphertext",
     "deserialize_key",
-    "effective_error_rate",
-    "encode_streams",
     "encrypt",
-    "enumerate_candidates",
-    "estimate_alpha",
-    "expand_scalar",
-    "free_distance",
-    "gen_mask_basis",
-    "gen_mask_matrix",
-    "gilbert_relative_distance",
-    "interleave",
-    "invert_highmem",
-    "isd_log2",
-    "key_randomness_report",
     "keygen",
     "load_key",
-    "load_params",
     "load_preset",
-    "mat_add",
-    "mat_mul",
-    "mat_vec_mul",
-    "parse_param_file",
-    "permute",
-    "poly_divmod",
-    "poly_mul",
-    "qisd_log2",
-    "rank",
-    "rank_invert",
-    "random_nonsingular",
-    "random_permutation",
     "save_key",
-    "security_report",
     "serialize_ciphertext",
     "serialize_key",
     "viterbi_decode",
-    "window_failure",
 ]

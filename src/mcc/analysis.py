@@ -13,21 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitlinalg import MatF2
+from .bitlinalg import MatF2, rank
 from .convcode import PolyGenMatrix
 from .gf2poly import BinPoly, poly_divmod
 
 _LOG2_029 = math.log2(0.29)
-
-
-@dataclass(frozen=True)
-class SecurityReport:
-    N: int
-    K: int
-    t: int
-    isd_log2: float
-    qisd_log2: float
-    acs_per_bit_log2: int | None = None
+# bisection stops once the bracket is this narrow
+_GILBERT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -40,7 +32,6 @@ class KeyRandomnessReport:
     col_weight_std: float
     col_weight_min: int
     col_weight_max: int
-    col_weight_hist: tuple[tuple[float, int], ...]
     row_weight_mean: float
     row_weight_std: float
     mean_col_weight_z: float
@@ -88,7 +79,7 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1 - x) * math.log2(1 - x)
 
 
-def gilbert_relative_distance(rho: float, tol: float = 1e-9) -> float:
+def gilbert_relative_distance(rho: float) -> float:
     """Solve entropy(x) = 1 - rho for x in (0, 1/2) by bisection.
 
     Estimates the typical relative distance from a random word to the
@@ -98,7 +89,7 @@ def gilbert_relative_distance(rho: float, tol: float = 1e-9) -> float:
         raise ValueError("rate must lie in (0, 1)")
     target = 1.0 - rho
     lo, hi = 0.0, 0.5
-    while hi - lo > tol:
+    while hi - lo > _GILBERT_TOL:
         mid = (lo + hi) / 2
         if binary_entropy(mid) < target:
             lo = mid
@@ -126,18 +117,6 @@ def isd_log2(N: int, K: int, t: int) -> float:
 def qisd_log2(N: int, K: int, t: int) -> float:
     """Quantum-search cost: square root of the classical iteration count."""
     return isd_log2(N, K, t) / 2.0
-
-
-def security_report(N: int, K: int, t: int, l: int | None = None, p: int | None = None) -> SecurityReport:
-    acs = l + p if l is not None and p is not None else None
-    return SecurityReport(
-        N=N,
-        K=K,
-        t=t,
-        isd_log2=isd_log2(N, K, t),
-        qisd_log2=qisd_log2(N, K, t),
-        acs_per_bit_log2=acs,
-    )
 
 
 def window_failure(
@@ -175,14 +154,11 @@ def key_randomness_report(g: MatF2) -> KeyRandomnessReport:
     a rank-l mask have clustered columns, which inflates honest |z| to
     roughly 4 * sqrt(1 + K / 2^l), still far below the degenerate range.
     """
-    from .bitlinalg import rank as _rank
-
     bits = g.to_bits()
     col_w = bits.sum(axis=0)
     row_w = bits.sum(axis=1)
     k = g.rows
-    r = _rank(g)
-    hist_counts, hist_edges = np.histogram(col_w, bins=min(10, max(1, k)))
+    r = rank(g)
     sigma_mean = math.sqrt(k) / 2 / math.sqrt(max(g.cols, 1))
     z = (float(col_w.mean()) - k / 2) / sigma_mean if sigma_mean else 0.0
     return KeyRandomnessReport(
@@ -194,9 +170,6 @@ def key_randomness_report(g: MatF2) -> KeyRandomnessReport:
         col_weight_std=float(col_w.std()),
         col_weight_min=int(col_w.min()),
         col_weight_max=int(col_w.max()),
-        col_weight_hist=tuple(
-            (float(hist_edges[i]), int(hist_counts[i])) for i in range(len(hist_counts))
-        ),
         row_weight_mean=float(row_w.mean()),
         row_weight_std=float(row_w.std()),
         mean_col_weight_z=float(z),

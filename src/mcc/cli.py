@@ -112,7 +112,7 @@ def _cmd_keygen(args) -> int:
     if args.inject:
         try:
             with open(args.inject, "r", encoding="utf-8") as fh:
-                material, _ = parse_inject_json(fh.read(), pf.params)
+                material = parse_inject_json(fh.read(), pf.params)
         except OSError as exc:
             raise _InputError(f"cannot read {args.inject}: {exc}") from exc
     try:
@@ -137,7 +137,10 @@ def _cmd_encrypt(args) -> int:
     error = None
     if args.inject_errors is not None:
         text = args.inject_errors.strip()
-        positions = [int(x) for x in text.split(",")] if text else []
+        try:
+            positions = [int(x) for x in text.split(",")] if text else []
+        except ValueError as exc:
+            raise _InputError(f"--inject-errors: {exc}") from exc
         if any(not 0 <= p < pub.params.N for p in positions):
             raise _InputError("injected error position out of range")
         error = BitVec.from_indices(pub.params.N, positions)
@@ -182,22 +185,22 @@ def _cmd_analyze(args) -> int:
 
 def _analyze(args) -> None:
     if args.what == "isd":
-        report = analysis.security_report(args.n, args.k, args.t, args.l, args.p)
+        isd = analysis.isd_log2(args.n, args.k, args.t)
         pairs = [
-            ("N", report.N),
-            ("K", report.K),
-            ("t", report.t),
-            ("isd_log2", _fmt_float(report.isd_log2)),
-            ("qisd_log2", _fmt_float(report.qisd_log2)),
+            ("N", args.n),
+            ("K", args.k),
+            ("t", args.t),
+            ("isd_log2", _fmt_float(isd)),
+            ("qisd_log2", _fmt_float(analysis.qisd_log2(args.n, args.k, args.t))),
         ]
-        if report.acs_per_bit_log2 is not None:
-            pairs.append(("acs_per_bit_log2", report.acs_per_bit_log2))
+        if args.l is not None and args.p is not None:
+            pairs.append(("acs_per_bit_log2", args.l + args.p))
         if args.baseline:
             bn, bk, bt = args.baseline
             base = analysis.isd_log2(bn, bk, bt)
             pairs += [
                 ("baseline_isd_log2", _fmt_float(base)),
-                ("improvement_log2", _fmt_float(report.isd_log2 - base)),
+                ("improvement_log2", _fmt_float(isd - base)),
             ]
         _emit(pairs, args.json)
     elif args.what == "gilbert":

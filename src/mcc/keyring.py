@@ -27,7 +27,7 @@ from .bitlinalg import (
     random_nonsingular,
     random_permutation,
 )
-from .convcode import CodeParams, PolyGenMatrix, expand_scalar
+from .convcode import MAX_MASK_RANK, CodeParams, PolyGenMatrix, expand_scalar
 from .gf2poly import BinPoly
 
 _MAGIC = b"MCC1"
@@ -109,12 +109,15 @@ class KeyMaterial:
 
 def gen_mask_basis(N: int, l: int, rng: np.random.Generator) -> MaskBasis:
     """Draw l independent uniform vectors, resampling on dependence."""
-    if not 0 <= l <= 20:
-        raise ValueError("l must be in 0..20")
+    if not 0 <= l <= MAX_MASK_RANK:
+        raise ValueError(f"l must be in 0..{MAX_MASK_RANK}")
     for _ in range(_MASK_RETRY_CAP):
         vecs = tuple(BitVec.random(N, rng) for _ in range(l))
-        if l == 0 or rank(MatF2.from_rows(vecs)) == l:
+        try:
+            # MaskBasis ranks the draw and raises on dependence
             return MaskBasis(vecs)
+        except ValueError:
+            pass
     raise RuntimeError("failed to draw an independent mask basis")
 
 

@@ -1,4 +1,4 @@
-"""Parameter file parsing, shipped presets and the demo fixture.
+"""Parameter file parsing, shipped presets and injected key material.
 
 Parameter files are line-oriented ``key = value`` text. Polynomials are
 written either as exponent lists like ``[0,5,12,16]`` or as octal generator
@@ -143,24 +143,8 @@ def load_params(path_or_preset: str) -> ParamFile:
     return parse_param_file(text)
 
 
-@dataclass(frozen=True)
-class DemoFixture:
-    """Fully pinned 30-bit key set with a known message and error pattern."""
-
-    params: CodeParams
-    g_p: PolyGenMatrix
-    g_q: PolyGenMatrix
-    material: KeyMaterial
-    message: BitVec
-    error_positions: tuple[int, ...]
-
-    @property
-    def error_vector(self) -> BitVec:
-        return BitVec.from_indices(self.params.N, self.error_positions)
-
-
-def parse_inject_json(text: str, params: CodeParams) -> tuple[KeyMaterial, dict]:
-    """Read injected key material; returns extras (error positions, message)."""
+def parse_inject_json(text: str, params: CodeParams) -> KeyMaterial:
+    """Read the key material an inject file pins; other fields are ignored."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -174,18 +158,4 @@ def parse_inject_json(text: str, params: CodeParams) -> tuple[KeyMaterial, dict]
         material.check(params)
     except (KeyError, ValueError) as exc:
         raise ParamFileError(f"bad inject file: {exc}") from exc
-    extras = {k: doc[k] for k in ("error_positions", "message") if k in doc}
-    return material, extras
-
-
-def demo_fixture() -> DemoFixture:
-    pf = load_preset("demo")
-    material, extras = parse_inject_json(_data_text("demo_inject.json"), pf.params)
-    return DemoFixture(
-        params=pf.params,
-        g_p=pf.g_p,
-        g_q=pf.g_q,
-        material=material,
-        message=BitVec.from01(extras["message"]),
-        error_positions=tuple(extras["error_positions"]),
-    )
+    return material

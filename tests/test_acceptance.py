@@ -27,7 +27,7 @@ from mcc.cryptopipe import (
 )
 from mcc.gf2poly import BinPoly, poly_divmod
 from mcc.keyring import keygen
-from mcc.presets import demo_fixture, load_preset
+from mcc.presets import load_preset
 from mcc.trellis import build_trellis, free_distance, viterbi_decode
 from oracles import recover_masked_sum, reference_outcomes
 
@@ -64,20 +64,21 @@ MASKED_SUM_ROWS = [
 
 
 @criterion(1, "golden small-system reproduction", budget_s=1.0)
-def test_criterion_01_golden():
-    fx = demo_fixture()
-    pub, priv = keygen(fx.params, fx.g_p, fx.g_q, np.random.default_rng(0), material=fx.material)
+def test_criterion_01_golden(demo):
+    pub, priv = keygen(
+        demo.params, demo.g_p, demo.g_q, np.random.default_rng(0), material=demo.material
+    )
 
     # key construction, bit for bit
-    gpq = PolyGenMatrix(tuple(a * b for a, b in zip(fx.g_p.polys, fx.g_q.polys)))
-    masked = mat_add(expand_scalar(gpq, 6, 9), fx.material.mask_matrix)
+    gpq = PolyGenMatrix(tuple(a * b for a, b in zip(demo.g_p.polys, demo.g_q.polys)))
+    masked = mat_add(expand_scalar(gpq, 6, 9), demo.material.mask_matrix)
     assert masked == MatF2.from_bitstrings(MASKED_SUM_ROWS)
     assert recover_masked_sum(pub, priv) == masked
     assert pub.g.row(0).to01() == "101011001100101101010111100100"
     assert rank(pub.g) == 6
 
     # encryption with the pinned error pattern
-    ct = encrypt(pub, fx.message, np.random.default_rng(0), error=fx.error_vector)
+    ct = encrypt(pub, demo.message, np.random.default_rng(0), error=demo.error_vector)
     c_tilde = permute(ct.bits, priv.perm, inverse=True)
     s0 = BinPoly.from_bitvec(deinterleave(c_tilde, 2, 0))
     s1 = BinPoly.from_bitvec(deinterleave(c_tilde, 2, 1))
@@ -89,26 +90,26 @@ def test_criterion_01_golden():
     assert s1 + ones == BinPoly.from_exponents([7, 8, 13])
 
     # all four stream quotients and remainders
-    q00, r00 = poly_divmod(s0, fx.g_q.polys[0])
+    q00, r00 = poly_divmod(s0, demo.g_q.polys[0])
     assert (q00, r00) == (BinPoly.from_exponents([3, 7]), BinPoly.from_exponents([3]))
-    q10, r10 = poly_divmod(s0 + ones, fx.g_q.polys[0])
+    q10, r10 = poly_divmod(s0 + ones, demo.g_q.polys[0])
     assert (q10, r10) == (
         BinPoly.from_exponents([1, 2, 4, 5, 6]),
         BinPoly.from_exponents([0, 3]),
     )
-    q01, r01 = poly_divmod(s1, fx.g_q.polys[1])
+    q01, r01 = poly_divmod(s1, demo.g_q.polys[1])
     assert (q01, r01) == (
         BinPoly.from_exponents([2, 3, 4, 5, 7]),
         BinPoly.from_exponents([0, 1, 2, 3, 4, 5, 6]),
     )
-    q11, r11 = poly_divmod(s1 + ones, fx.g_q.polys[1])
+    q11, r11 = poly_divmod(s1 + ones, demo.g_q.polys[1])
     assert (q11, r11) == (BinPoly.from_exponents([0, 1, 6]), BinPoly.zero())
 
     # candidate decoding: the all-ones unmasking wins with weight 2
-    trellis = build_trellis(fx.g_p, 6)
+    trellis = build_trellis(demo.g_p, 6)
     outcomes = []
     for i, cand in enumerate(enumerate_candidates(c_tilde, priv.mask_basis.vectors)):
-        word, _ = invert_highmem(cand, fx.g_q, fx.params)
+        word, _ = invert_highmem(cand, demo.g_q, demo.params)
         outcomes.append((i, word, viterbi_decode(trellis, word)))
     winner = min(outcomes, key=lambda o: o[2].error_weight)
     assert winner[1].to01() == "0111100010101100"

@@ -12,7 +12,6 @@ from mcc.analysis import (
     isd_log2,
     key_randomness_report,
     qisd_log2,
-    security_report,
     window_failure,
 )
 from mcc.bitlinalg import MatF2
@@ -176,13 +175,6 @@ def test_qisd_is_half():
     assert qisd_log2(4096, 3556, 45) == pytest.approx(isd_log2(4096, 3556, 45) / 2)
     assert qisd_log2(5600, 2600, 392) == pytest.approx(186.56, abs=1.0)
     assert qisd_log2(100, 60, 0) == pytest.approx(0.893, abs=1e-3)
-
-
-def test_security_report_fields():
-    rep = security_report(5600, 2600, 392, l=5, p=14)
-    assert rep.qisd_log2 == pytest.approx(rep.isd_log2 / 2)
-    assert rep.acs_per_bit_log2 == 19
-    assert security_report(100, 50, 5).acs_per_bit_log2 is None
 
 
 def test_window_failure_reference_point():

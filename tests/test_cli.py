@@ -5,7 +5,8 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
-from mcc import BitVec, PolyGenMatrix, demo_fixture, expand_scalar
+from mcc.bitlinalg import BitVec
+from mcc.convcode import PolyGenMatrix, expand_scalar
 from mcc.cli import main
 
 
@@ -125,6 +126,15 @@ def test_analyze_isd_with_baseline(tmp_path):
     assert float(data["isd_log2"]) == pytest.approx(373.1, abs=0.5)
 
 
+def test_analyze_isd_without_mask_options():
+    # the decoder cost needs both the mask rank and the trellis memory
+    for extra in ((), ("--l", "5"), ("--p", "14")):
+        code, out, _ = run_cli("analyze", "isd", "--n", "5600", "--k", "2600", "--t", "392", *extra)
+        assert code == 0
+        assert "qisd_log2 = 186." in out
+        assert "acs_per_bit_log2" not in out
+
+
 def test_analyze_failure():
     code, out, _ = run_cli(
         "analyze", "failure",
@@ -164,7 +174,7 @@ def test_exit_code_usage():
     assert run_cli()[0] == 1
 
 
-def test_exit_code_malformed_inputs(tmp_path):
+def test_exit_code_malformed_inputs(tmp_path, demo):
     bad = tmp_path / "bad.pub"
     bad.write_bytes(b"not a key at all")
     code, _, err = run_cli("analyze", "keyrand", "--pub", str(bad))
@@ -199,7 +209,6 @@ def test_exit_code_malformed_inputs(tmp_path):
     )
     assert code == 2, err
     # mask row 1 makes row 1 of expand(g_p * g_q) + mask equal row 0
-    demo = demo_fixture()
     gpq = PolyGenMatrix(tuple(a * b for a, b in zip(demo.g_p.polys, demo.g_q.polys)))
     rows = expand_scalar(gpq, demo.params.K, demo.params.p + demo.params.q)
     doc = json.loads(resources.files("mcc").joinpath("data", "demo_inject.json").read_text())
@@ -243,6 +252,14 @@ def test_exit_code_malformed_inputs(tmp_path):
     )
     assert code == 2, err
     assert err.startswith("error: ") and "N = 30" in err
+    # an injected error position that is not an integer
+    msg.write_text("111001")
+    code, _, err = run_cli(
+        "encrypt", "--pub", str(pub), "--in", str(msg), "--out", str(tmp_path / "c"),
+        "--inject-errors", "3,x",
+    )
+    assert code == 2, err
+    assert err.startswith("error: ")
     # values outside a report's or a simulation's domain
     for argv in (
         ("analyze", "isd", "--n", "10", "--k", "20", "--t", "1"),
@@ -290,7 +307,6 @@ def test_exit_code_decrypt_failure(tmp_path):
         "keygen", "--params", "desk", "--out-pub", str(pub), "--out-priv", str(priv), "--seed", "8"
     )[0] == 0
     # a random word of the right length is essentially never decryptable
-    from mcc.bitlinalg import BitVec
     from mcc.cryptopipe import Ciphertext, serialize_ciphertext
 
     ct = tmp_path / "junk.ct"

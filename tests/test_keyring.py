@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mcc.bitlinalg import BitVec, MatF2, Permutation, mat_add, mat_vec_mul, rank
-from mcc.convcode import MAX_N, expand_scalar
+from mcc.convcode import MAX_MASK_RANK, MAX_N, expand_scalar
 from mcc.keyring import (
     KeyFormatError,
     KeyMaterial,
@@ -54,6 +54,20 @@ def test_gen_mask_basis_rank_and_determinism():
     assert rank(MatF2.from_rows(basis.vectors)) == 5
     again = gen_mask_basis(5600, 5, np.random.default_rng(7))
     assert basis == again
+
+
+def test_gen_mask_basis_redraws_dependent_draws():
+    # three uniform 3-bit vectors are independent only about a third of the time
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        assert rank(MatF2.from_rows(gen_mask_basis(3, 3, rng).vectors)) == 3
+
+
+def test_gen_mask_basis_rank_cap():
+    assert gen_mask_basis(64, MAX_MASK_RANK, np.random.default_rng(0)).l == MAX_MASK_RANK
+    for l in (-1, MAX_MASK_RANK + 1):
+        with pytest.raises(ValueError, match=f"0..{MAX_MASK_RANK}"):
+            gen_mask_basis(64, l, np.random.default_rng(0))
 
 
 def test_gen_mask_matrix_rows_live_in_span(demo):
