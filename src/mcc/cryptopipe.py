@@ -4,13 +4,13 @@ Encryption appends a CRC, multiplies by the public matrix and flips each
 ciphertext bit independently. Decryption undoes the column permutation and
 tests every unmasking hypothesis (c_tilde minus a span element of the mask
 basis). Stream division is linear, so it runs once on c_tilde and once per
-basis vector, and a Gray-code walk of XORs gives each hypothesis's quotient
-and remainder. Hypotheses are decoded in remainder-weight order, and each
-Viterbi decode stops once it can no longer win; the accepted candidate is
-the same as if every hypothesis had been decoded in full. The gate, a
-weight bound computed exactly from the parameters and the divisors, is the
-first of those decode bounds, so no accepted decode is checked against it
-again.
+key on each basis vector, and a Gray-code walk of XORs gives each
+hypothesis's quotient and remainder. Hypotheses are decoded in
+remainder-weight order, and each Viterbi decode stops, or does not start,
+once it can no longer win; the accepted candidate is the same as if every
+hypothesis had been decoded in full. The gate, a weight bound computed
+exactly from the parameters and the divisors, is the first of those decode
+bounds, so no accepted decode is checked against it again.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .analysis import estimate_alpha
 from .bitlinalg import BitVec, mat_vec_mul, permute
 from .convcode import CodeParams, PolyGenMatrix, deinterleave, interleave
 from .gf2poly import BinPoly, crc_append, crc_verify, poly_divmod
-from .keyring import KeyFormatError, PrivateKey, PublicKey
+from .keyring import KeyFormatError, PrivateKey, PublicKey, unpack_bits
 from .trellis import build_trellis, viterbi_decode
 
 _CT_MAGIC = b"MCCc"
@@ -134,11 +134,12 @@ def candidate_gate(params: CodeParams, g_q: PolyGenMatrix) -> int:
 def _divide_hypotheses(c_tilde: BitVec, priv: PrivateKey) -> tuple[list[BitVec], list[int]]:
     """Quotient and remainder weight of every hypothesis, by mask index.
 
-    Division is linear, so c_tilde and the l basis vectors are divided once
-    and the 2^l hypotheses follow the Gray-code walk of enumerate_candidates.
+    Division is linear, so c_tilde is divided here, the l basis vectors once
+    per key (PrivateKey.divided_basis), and the 2^l hypotheses follow the
+    Gray-code walk of enumerate_candidates.
     """
     q0, r0 = invert_highmem(c_tilde, priv.g_q, priv.params)
-    divided = [invert_highmem(v, priv.g_q, priv.params) for v in priv.mask_basis.vectors]
+    divided = priv.divided_basis
     quotients = list(enumerate_candidates(q0, [q for q, _ in divided]))
     rem_weights = [r.bit_count() for r in enumerate_candidates(r0, [r for _, r in divided])]
     return quotients, rem_weights
@@ -207,5 +208,5 @@ def deserialize_ciphertext(data: bytes) -> Ciphertext:
     payload = data[13:]
     if len(payload) != (nbits + 7) // 8:
         raise KeyFormatError("ciphertext payload length mismatch")
-    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), bitorder="little")[:nbits]
+    bits = unpack_bits(np.frombuffer(payload, dtype=np.uint8), nbits)
     return Ciphertext(BitVec.from_bits(bits))

@@ -9,8 +9,10 @@ permutation and the mask basis. S and the mask matrix exist only in keygen.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -81,6 +83,18 @@ class PrivateKey:
     s_inv: MatF2
     perm: Permutation
     mask_basis: MaskBasis
+
+    @cached_property
+    def divided_basis(self) -> tuple[tuple[BitVec, int], ...]:
+        """invert_highmem of each mask-basis vector, derived on first use.
+
+        They depend only on the key, so decryption divides them once per key
+        object; they are neither fields nor part of the key file.
+        """
+        # cryptopipe imports this module
+        from .cryptopipe import invert_highmem
+
+        return tuple(invert_highmem(v, self.g_q, self.params) for v in self.mask_basis.vectors)
 
 
 @dataclass(frozen=True)
@@ -190,6 +204,18 @@ def _pack_bits_bytes(bits: np.ndarray) -> bytes:
     return np.packbits(bits, bitorder="little").tobytes()
 
 
+def unpack_bits(raw: np.ndarray, nbits: int) -> np.ndarray:
+    """Unpack little-endian bytes along the last axis to nbits bits each.
+
+    The padding bits of the last byte must be zero, as np.packbits writes
+    them, so every value has exactly one encoding.
+    """
+    bits = np.unpackbits(raw, axis=-1, bitorder="little")
+    if bits[..., nbits:].any():
+        raise KeyFormatError("nonzero padding bits")
+    return bits[..., :nbits]
+
+
 def _encode_bitvec(v: BitVec) -> bytes:
     bits = v.to_bits()
     return struct.pack("<I", v.n) + _pack_bits_bytes(bits)
@@ -235,7 +261,7 @@ class _Reader:
         if self.u32() != n:
             raise KeyFormatError(f"vector length differs from the expected {n}")
         raw = np.frombuffer(self.take((n + 7) // 8), dtype=np.uint8)
-        return BitVec.from_bits(np.unpackbits(raw, bitorder="little")[:n])
+        return BitVec.from_bits(unpack_bits(raw, n))
 
     def poly(self) -> BinPoly:
         nbits = self.u32()
@@ -256,7 +282,7 @@ class _Reader:
             raise KeyFormatError(f"matrix shape differs from the expected {rows}x{cols}")
         stride = (cols + 7) // 8
         raw = np.frombuffer(self.take(rows * stride), dtype=np.uint8).reshape(rows, stride)
-        return MatF2.from_bits(np.unpackbits(raw, axis=1, bitorder="little")[:, :cols])
+        return MatF2.from_bits(unpack_bits(raw, cols))
 
     def done(self) -> None:
         if self.off != len(self.data):
@@ -284,6 +310,9 @@ def _decode_params(r: _Reader) -> CodeParams:
     num, den = r.u64(), r.u64()
     if den == 0:
         raise KeyFormatError("zero denominator in the error rate")
+    # serialize_key writes the fraction in lowest terms, its one encoding
+    if math.gcd(num, den) != 1:
+        raise KeyFormatError("error rate is not in lowest terms")
     r_poly = r.poly()
     try:
         params = CodeParams(n=n, p=p, q=q, K=K, l=l, e=Fraction(num, den), r_poly=r_poly)

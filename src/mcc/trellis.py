@@ -11,9 +11,11 @@ Hamming distance between received symbol r and the output of the window
 (s << 1) | b, where s = h * 2^(p-1) + l is the predecessor state. It takes
 2^(n+p+1) bytes, 32 MB at the n = 8, p = 16 corner.
 
-A decode can be given a bound. Path metrics never decrease along a path, so
-once every state's metric exceeds the bound the final weight must too, and
-the decode stops there with that minimum as a lower bound on the weight.
+A decode can be given a bound. It stops as soon as a lower bound on its
+weight exceeds the bound, and returns that lower bound. Path metrics never
+decrease along a path, so the smallest one bounds the segments decoded so
+far; the syndromes of the received word bound the segments still to come, an
+A* cost-to-go, and over the whole word they bound it before any ACS step.
 """
 
 from __future__ import annotations
@@ -24,12 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitlinalg import BitVec
-from .convcode import MAX_STREAMS, MAX_TRELLIS_MEMORY, PolyGenMatrix, encode_streams
+from .convcode import MAX_STREAMS, MAX_TRELLIS_MEMORY, PolyGenMatrix, deinterleave, encode_streams
+from .gf2poly import BinPoly, poly_mul
 
 _INF = np.int32(1 << 29)
 MAX_SEARCH_MEMORY = 12
 _FREE_DISTANCE_BUDGET = 40
-# segments between two comparisons of the minimum path metric with a bound
+# segments between two comparisons of a decode's lower bound with its bound
 _BOUND_INTERVAL = 16
 
 
@@ -97,12 +100,59 @@ def _bits_to_symbols(v: BitVec, n: int) -> np.ndarray:
     return (bits << np.arange(n, dtype=np.uint8)).sum(axis=1).astype(np.uint8)
 
 
-def _forward_pass(trellis: Trellis, rsyms: np.ndarray, bound: int | None = None):
+def _syndrome_bounds(trellis: Trellis, received: BitVec, after: np.ndarray) -> np.ndarray:
+    """Lower bounds on the weight of received minus any zero-tail codeword.
+
+    The syndromes s_j = r_0 g_j + r_j g_0 (j >= 1) vanish on every codeword,
+    so they are those of the error pattern (Schalkwijk and Vinck, 1975).
+    Coefficient k of s_j reads stream bits k - p .. k. Entry 0 counts every
+    coefficient and bounds the whole word; entry i + 1 counts k >= after[i]
+    + 1 + p and bounds the segments after segment after[i], whatever the
+    path's state there. An error bit in stream 0 flips at most wt(g_j)
+    coefficients of s_j and one in stream j at most wt(g_0). So with S_j
+    counted coefficients nonzero, the weight is at least the minimum over
+    x >= 0 of x + sum_j max(0, S_j - x wt(g_j)) / wt(g_0). That function is
+    convex and piecewise linear, so its minimum lies at x = 0 or at some
+    S_b / wt(g_b); it is evaluated there in integers, scaled by
+    wt(g_b) wt(g_0), and rounded up.
+    """
+    n, p, segs = trellis.n, trellis.p, trellis.segments
+    polys = trellis.polys.polys
+    r = [BinPoly.from_bitvec(deinterleave(received, n, j)) for j in range(n)]
+    # s_j has degree below segs + p; the spare byte makes the last suffix count 0
+    nbytes = (segs + p) // 8 + 1
+    syn = b"".join(
+        (poly_mul(r[0], polys[j]) + poly_mul(r[j], polys[0])).value.to_bytes(nbytes, "little")
+        for j in range(1, n)
+    )
+    bits = np.unpackbits(
+        np.frombuffer(syn, dtype=np.uint8).reshape(n - 1, nbytes), axis=1, bitorder="little"
+    )
+    # suffix[:, k] counts the nonzero coefficients k and above
+    suffix = np.cumsum(bits[:, ::-1], axis=1, dtype=np.int64)[:, ::-1]
+    counts = suffix[:, np.concatenate([[0], after + 1 + p])]
+    w = np.array([g.weight for g in polys], dtype=np.int64)
+    lb = -(-counts.sum(axis=0) // w[0])
+    for b in range(n - 1):
+        scaled = counts[b] * w[0] + np.maximum(
+            counts * w[b + 1] - counts[b] * w[1:, None], 0
+        ).sum(axis=0)
+        lb = np.minimum(lb, -(-scaled // (w[b + 1] * w[0])))
+    return lb
+
+
+def _forward_pass(
+    trellis: Trellis,
+    rsyms: np.ndarray,
+    bound: int | None = None,
+    tail_lb: dict[int, int] | None = None,
+):
     """ACS recursion; returns final path metrics and survivor bits per segment.
 
-    With a bound, every _BOUND_INTERVAL segments and after the last one the
-    minimum metric is compared with it; once it is larger the pass stops and
-    returns the current metrics with survivors None.
+    With a bound, after each segment t in tail_lb, which maps t to a lower
+    bound on the weight of the segments after it, the minimum metric plus
+    tail_lb[t] is compared with the bound; once it is larger the pass stops
+    and returns the current metrics plus tail_lb[t] with survivors None.
     """
     ns = trellis.num_states
     half = ns >> 1
@@ -110,7 +160,6 @@ def _forward_pass(trellis: Trellis, rsyms: np.ndarray, bound: int | None = None)
     pm[0] = 0
     # survivors[t, j] is the top bit of the predecessor kept for state j
     survivors = np.empty((trellis.segments, half, 2), dtype=bool)
-    last = trellis.segments - 1
     for t in range(trellis.segments):
         cand = pm.reshape(2, half, 1) + trellis._bm[rsyms[t]]
         # on ties keep the lower-indexed predecessor
@@ -118,9 +167,9 @@ def _forward_pass(trellis: Trellis, rsyms: np.ndarray, bound: int | None = None)
         pm = np.minimum(cand[0], cand[1]).reshape(-1)
         if t >= trellis.K:
             pm[1::2] = _INF
-        if bound is not None and (t % _BOUND_INTERVAL == _BOUND_INTERVAL - 1 or t == last):
-            if pm.min() > bound:
-                return pm, None
+        if bound is not None and t in tail_lb:
+            if pm.min() + tail_lb[t] > bound:
+                return pm + tail_lb[t], None
     return pm, survivors.reshape(trellis.segments, ns)
 
 
@@ -131,12 +180,21 @@ def viterbi_decode(
 
     With a bound, a word whose weight exceeds it comes back as
     DecodeResult(None, lower_bound) with bound < lower_bound <= weight; any
-    other word is decoded in full.
+    other word is decoded in full. A word whose syndrome bound alone exceeds
+    the bound is not decoded at all.
     """
     if received.n != trellis.n * trellis.segments:
         raise ValueError("received length does not match the trellis")
+    tail_lb = None
+    if bound is not None:
+        last = trellis.segments - 1
+        checks = np.r_[_BOUND_INTERVAL - 1 : last : _BOUND_INTERVAL, last]
+        lb = _syndrome_bounds(trellis, received, checks)
+        if lb[0] > bound:
+            return DecodeResult(None, int(lb[0]))
+        tail_lb = dict(zip(checks.tolist(), lb[1:].tolist()))
     rsyms = _bits_to_symbols(received, trellis.n)
-    pm, survivors = _forward_pass(trellis, rsyms, bound)
+    pm, survivors = _forward_pass(trellis, rsyms, bound, tail_lb)
     if survivors is None:
         return DecodeResult(None, int(pm.min()))
     bits = np.zeros(trellis.segments, dtype=np.uint8)

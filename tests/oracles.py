@@ -161,6 +161,31 @@ def reference_forward_pass(trellis: Trellis, rsyms: np.ndarray):
     return pm, survivors, history
 
 
+def reference_cost_to_go(trellis: Trellis, rsyms: np.ndarray) -> np.ndarray:
+    """Least weight of any zero-tail completion, by segment and state.
+
+    Entry [t, s] is the smallest distance between received segments t ..
+    segments - 1 and the outputs of any input sequence that starts in state
+    s before segment t and ends in state 0; unreachable entries stay _INF.
+    So entry [t + 1, s] is the best completion from state s after segment t,
+    and entry [0, 0] is the optimal decode weight. Computed backwards, one
+    segment and one input bit at a time.
+    """
+    ns = trellis.num_states
+    out = _window_symbols(trellis.polys)
+    states = np.arange(ns)
+    cost = np.full((trellis.segments + 1, ns), _INF, dtype=np.int64)
+    cost[trellis.segments, 0] = 0
+    for t in range(trellis.segments - 1, -1, -1):
+        inputs = (0,) if t >= trellis.K else (0, 1)
+        for b in inputs:
+            window = (states << 1) | b
+            branch = np.bitwise_count(out[window] ^ rsyms[t]).astype(np.int64)
+            step = np.minimum(branch + cost[t + 1, window & (ns - 1)], _INF)
+            cost[t] = np.minimum(cost[t], step)
+    return cost
+
+
 def reference_outcomes(priv: PrivateKey, ct: Ciphertext) -> list[CandidateOutcome]:
     """Every unmasking hypothesis divided and decoded in full, by mask index."""
     params = priv.params

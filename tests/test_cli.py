@@ -260,6 +260,18 @@ def test_exit_code_malformed_inputs(tmp_path, demo):
     )
     assert code == 2, err
     assert err.startswith("error: ")
+    # a demo ciphertext with the two padding bits of its last byte set
+    ct = tmp_path / "padded.ct"
+    code, _, err = run_cli(
+        "encrypt", "--pub", str(pub), "--in", str(msg), "--out", str(ct), "--seed", "1"
+    )
+    assert code == 0, err
+    blob = bytearray(ct.read_bytes())
+    blob[-1] |= 0xC0
+    ct.write_bytes(bytes(blob))
+    code, _, err = run_cli("decrypt", "--priv", str(priv), "--pub", str(pub), "--in", str(ct))
+    assert code == 2, err
+    assert err.startswith("error: ") and "padding" in err
     # values outside a report's or a simulation's domain
     for argv in (
         ("analyze", "isd", "--n", "10", "--k", "20", "--t", "1"),

@@ -374,3 +374,16 @@ def test_ciphertext_serialization_round_trip(demo_keys):
         deserialize_ciphertext(blob[:-1])
     with pytest.raises(KeyFormatError):
         deserialize_ciphertext(b"NOPE" + blob[4:])
+    # N = 30 leaves two padding bits in the last byte; they must be zero
+    assert len(blob) == 17
+    with pytest.raises(KeyFormatError, match="padding"):
+        deserialize_ciphertext(blob[:-1] + bytes([blob[-1] | 0xC0]))
+    # any other one-bit change parses to the ciphertext it encodes
+    for bit in range(8 * len(blob)):
+        data = bytearray(blob)
+        data[bit // 8] ^= 1 << (bit % 8)
+        try:
+            parsed = deserialize_ciphertext(bytes(data))
+        except KeyFormatError:
+            continue
+        assert serialize_ciphertext(parsed) == bytes(data), bit

@@ -215,6 +215,20 @@ def test_deserialize_rejects_garbage(demo_keys):
             deserialize_key(blob[:4] + bytes([version]) + blob[5:])
     with pytest.raises(KeyFormatError):
         deserialize_key(blob + b"\x00")
+    # G's rows (N = 30 columns) close the public blob, a basis vector the
+    # private one; each ends with two padding bits, which must be zero
+    for key in (pub, priv):
+        padded = bytearray(serialize_key(key))
+        padded[-1] |= 0x80
+        with pytest.raises(KeyFormatError, match="padding"):
+            deserialize_key(bytes(padded))
+    # e = 1/10, stored after the six u32 size fields, written as 2/20
+    at = 6 + 24
+    assert struct.unpack_from("<QQ", blob, at) == (1, 10)
+    unreduced = bytearray(blob)
+    struct.pack_into("<QQ", unreduced, at, 2, 20)
+    with pytest.raises(KeyFormatError, match="lowest terms"):
+        deserialize_key(bytes(unreduced))
 
 
 def test_deserialize_rejects_singular_inverse_scramble(demo_keys):
@@ -257,6 +271,21 @@ def test_deserialize_rejects_crafted_matrix_header(demo_keys):
     for _, blob in crafted_header_blobs(*demo_keys):
         with pytest.raises(KeyFormatError, match="matrix shape"):
             deserialize_key(blob)
+
+
+def test_accepted_key_blobs_are_canonical(demo_keys):
+    # a blob one bit away from a key file either fails to parse or is the
+    # file of what it parses to, so no key has two encodings
+    for key in demo_keys:
+        blob = serialize_key(key)
+        for bit in range(8 * len(blob)):
+            data = bytearray(blob)
+            data[bit // 8] ^= 1 << (bit % 8)
+            try:
+                parsed = deserialize_key(bytes(data))
+            except KeyFormatError:
+                continue
+            assert serialize_key(parsed) == bytes(data), bit
 
 
 def test_mutated_and_truncated_keys_raise_only_key_format_error(demo_keys):

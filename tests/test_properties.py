@@ -19,6 +19,7 @@ from mcc.keyring import (
     serialize_key,
 )
 from mcc.presets import load_preset, parse_param_file
+from test_cli import run_cli
 
 SETTINGS = settings(max_examples=40, deadline=None)
 PRESETS = st.sampled_from(["demo", "desk"])
@@ -93,6 +94,50 @@ def test_mutated_or_truncated_ciphertext_raises_key_format_error(nbits, edits, c
         assert isinstance(deserialize_ciphertext(mutate(blob, edits)), Ciphertext)
     with pytest.raises(KeyFormatError):
         deserialize_ciphertext(blob[: cut % len(blob)])
+
+
+@pytest.fixture(scope="module")
+def desk_files(desk_keys, tmp_path_factory):
+    """Key and ciphertext files of one desk message, and the message as 0/1 text."""
+    pub, priv = desk_keys
+    rng = np.random.default_rng(43)
+    m = BitVec.random(pub.params.plaintext_len, rng)
+    blobs = {
+        "priv": serialize_key(priv),
+        "pub": serialize_key(pub),
+        "ct": serialize_ciphertext(encrypt(pub, m, rng)),
+    }
+    return tmp_path_factory.mktemp("cli-decrypt"), blobs, m.to01()
+
+
+@SETTINGS
+@given(
+    target=st.sampled_from(["priv", "pub", "ct"]),
+    edits=EDITS,
+    cut=st.none() | st.integers(0, 1 << 20),
+)
+def test_cli_decrypt_of_a_damaged_file_exits_cleanly(desk_files, target, edits, cut):
+    # a truncated file exits 2; an edited one exits 2, decrypts to the sent
+    # message, or fails with exit 3 (an edited ciphertext may carry more
+    # errors than the gate admits); never exit 4 or an escaping exception
+    root, blobs, message = desk_files
+    blob = blobs[target]
+    damaged = blob[: cut % len(blob)] if cut is not None else mutate(blob, edits)
+    for name, data in blobs.items():
+        (root / name).write_bytes(damaged if name == target else data)
+    code, out, err = run_cli(
+        "decrypt", "--priv", str(root / "priv"), "--pub", str(root / "pub"),
+        "--in", str(root / "ct"),
+    )
+    if cut is not None:
+        assert code == 2, err
+    assert code in (0, 2, 3), err
+    if code == 0:
+        assert out.strip() == message
+    elif code == 2:
+        assert err.startswith("error: ")
+    else:
+        assert "retransmission" in err
 
 
 def exponent_sets(top: int):

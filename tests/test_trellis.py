@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
 
+from mcc import trellis as trellis_module
 from mcc.bitlinalg import BitVec
 from mcc.convcode import PolyGenMatrix, encode_streams
 from mcc.gf2poly import BinPoly
 from mcc.trellis import (
+    DecodeResult,
     _forward_pass,
     _bits_to_symbols,
+    _syndrome_bounds,
     build_trellis,
     free_distance,
     viterbi_decode,
 )
-from oracles import reference_forward_pass
+from oracles import reference_cost_to_go, reference_forward_pass
 
 GP = PolyGenMatrix.from_exponent_lists([[0, 2], [0, 1, 2]])
 D3 = "0111100010101100"
@@ -179,6 +182,59 @@ def test_bounded_decode_is_exact_or_a_lower_bound(desk):
                     assert bound < res.error_weight <= w
                     stopped_early += res.error_weight < w
     assert stopped_early > 0
+
+
+def noisy_words(t, polys, rng):
+    """A codeword with 0, 1, 2 and 5 flips, and a random word."""
+    for flips in (0, 1, 2, 5, None):
+        cw = encode_streams(BitVec.random(t.K, rng), polys, t.p)
+        if flips is None:
+            yield BitVec.random(cw.n, rng)
+        else:
+            yield cw ^ BitVec.from_indices(cw.n, rng.choice(cw.n, flips, replace=False))
+
+
+def test_syndrome_bounds_are_admissible():
+    # the whole-word bound is at most the optimal weight (brute force), and
+    # the bound after segment t at most the best completion from every state
+    rng = np.random.default_rng(31)
+    n1 = PolyGenMatrix((BinPoly.from_exponents([0, 2]),))
+    n4 = PolyGenMatrix.from_exponent_lists([[0, 1, 3], [0, 3], [0, 2, 3], [1, 2, 3]])
+    cases = [(n1, 8), (GP, 8), (n4, 8), (GP, 40), (n4, 30)]
+    cases += [(random_code(rng), 8) for _ in range(8)]
+    positive = 0
+    for polys, k in cases:
+        t = build_trellis(polys, k)
+        for received in noisy_words(t, polys, rng):
+            lb = _syndrome_bounds(t, received, np.arange(t.segments))
+            cost = reference_cost_to_go(t, _bits_to_symbols(received, t.n))
+            assert cost[0, 0] == viterbi_decode(t, received).error_weight
+            if k <= 8:
+                assert cost[0, 0] == brute_force_min_distance(received, polys, k)
+            assert lb[0] <= cost[0, 0]
+            assert np.all(lb[1:, None] <= cost[1:])
+            assert lb[-1] == 0
+            if polys.n == 1:
+                # one stream has no syndrome
+                assert not lb.any()
+            positive += int(np.count_nonzero(lb))
+    assert positive > 0
+
+
+def test_syndrome_rejection_skips_the_acs_loop(monkeypatch):
+    rng = np.random.default_rng(37)
+    t = build_trellis(GP, 40)
+    received = BitVec.random(t.n * t.segments, rng)
+    whole = int(_syndrome_bounds(t, received, np.arange(0))[0])
+    assert whole > 0
+
+    def no_acs(*args):
+        raise AssertionError("the ACS loop ran")
+
+    monkeypatch.setattr(trellis_module, "_forward_pass", no_acs)
+    assert viterbi_decode(t, received, whole - 1) == DecodeResult(None, whole)
+    with pytest.raises(AssertionError, match="ACS loop"):
+        viterbi_decode(t, received, whole)
 
 
 def test_path_metrics_never_decrease():
