@@ -294,15 +294,14 @@ def mat_mul(a: MatF2, b: MatF2) -> MatF2:
     return MatF2(a.rows, b.cols, out)
 
 
-def _eliminate(work: np.ndarray, ncols: int, reduce_above: bool) -> tuple[int, list[int]]:
+def _eliminate(work: np.ndarray, ncols: int, reduce_above: bool) -> int:
     """In-place Gaussian elimination on packed rows over the first ncols columns.
 
     Pivot choice is the lowest row index with a 1 in the pivot column, which
-    keeps the reduction deterministic. Returns (rank, pivot column list).
+    keeps the reduction deterministic. Returns the rank.
     """
     nrows = work.shape[0]
     rank = 0
-    pivots: list[int] = []
     for col in range(ncols):
         if rank == nrows:
             break
@@ -323,14 +322,13 @@ def _eliminate(work: np.ndarray, ncols: int, reduce_above: bool) -> tuple[int, l
             sel[rank + 1 :] = ((work[rank + 1 :, w] >> sh) & _ONE).astype(bool)
         if sel.any():
             work[sel] ^= work[rank]
-        pivots.append(col)
         rank += 1
-    return rank, pivots
+    return rank
 
 
 def rank(m: MatF2) -> int:
     work = m.data.copy()
-    return _eliminate(work, m.cols, reduce_above=False)[0]
+    return _eliminate(work, m.cols, reduce_above=False)
 
 
 def rank_invert(m: MatF2) -> tuple[int, MatF2 | None]:
@@ -340,7 +338,7 @@ def rank_invert(m: MatF2) -> tuple[int, MatF2 | None]:
     k = m.rows
     aug = np.hstack([m.to_bits(), np.eye(k, dtype=np.uint8)])
     work = _pack(aug)
-    r, _ = _eliminate(work, k, reduce_above=True)
+    r = _eliminate(work, k, reduce_above=True)
     if r < k:
         return r, None
     inv_bits = _unpack(work, 2 * k)[:, k:]

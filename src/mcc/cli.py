@@ -12,6 +12,7 @@ violation.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import secrets
 import sys
@@ -42,11 +43,8 @@ def _resolve_seed(seed: int | None, out) -> int:
 
 
 def _read_plaintext(path: str, nbits: int, fmt: str) -> BitVec:
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc}") from exc
+    with open(path, "rb") as fh:
+        raw = fh.read()
     if fmt == "bits":
         text = "".join(raw.decode("ascii", errors="replace").split())
         if set(text) - {"0", "1"}:
@@ -82,10 +80,7 @@ def _write_plaintext(path: str | None, v: BitVec, fmt: str) -> None:
 
 
 def _load_key(path: str, want) -> PublicKey | PrivateKey:
-    try:
-        key = keyring.load_key(path)
-    except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc}") from exc
+    key = keyring.load_key(path)
     if not isinstance(key, want):
         raise _InputError(f"{path} does not hold a {want.__name__}")
     return key
@@ -110,11 +105,8 @@ def _cmd_keygen(args) -> int:
     seed = _resolve_seed(seed, sys.stdout)
     material = None
     if args.inject:
-        try:
-            with open(args.inject, "r", encoding="utf-8") as fh:
-                material = parse_inject_json(fh.read(), pf.params)
-        except OSError as exc:
-            raise _InputError(f"cannot read {args.inject}: {exc}") from exc
+        with open(args.inject, "r", encoding="utf-8") as fh:
+            material = parse_inject_json(fh.read(), pf.params)
     try:
         pub, priv = keyring.keygen(
             pf.params, pf.g_p, pf.g_q, np.random.default_rng(seed), material=material
@@ -155,15 +147,12 @@ def _cmd_encrypt(args) -> int:
 def _cmd_decrypt(args) -> int:
     priv = _load_key(args.priv, PrivateKey)
     pub = _load_key(args.pub, PublicKey)
-    try:
-        with open(args.infile, "rb") as fh:
-            ct = cryptopipe.deserialize_ciphertext(fh.read())
-    except OSError as exc:
-        raise _InputError(f"cannot read {args.infile}: {exc}") from exc
+    with open(args.infile, "rb") as fh:
+        ct = cryptopipe.deserialize_ciphertext(fh.read())
     if ct.bits.n != priv.params.N:
         raise _InputError(f"ciphertext has {ct.bits.n} bits; the key expects N = {priv.params.N}")
     try:
-        plaintext = cryptopipe.decrypt(priv, pub, ct, use_gate=not args.no_gate)
+        plaintext = cryptopipe.decrypt(priv, pub, ct)
     except cryptopipe.DecryptionFailure as exc:
         print("decryption failed; request retransmission", file=sys.stderr)
         print(f"candidate error weights: {exc.weights_text()}", file=sys.stderr)
@@ -236,17 +225,8 @@ def _analyze(args) -> None:
         pub = _load_key(args.pub, PublicKey)
         rep = analysis.key_randomness_report(pub.g)
         pairs = [
-            ("rows", rep.rows),
-            ("cols", rep.cols),
-            ("rank", rep.rank),
-            ("full_rank", rep.full_rank),
-            ("col_weight_mean", _fmt_float(rep.col_weight_mean)),
-            ("col_weight_std", _fmt_float(rep.col_weight_std)),
-            ("col_weight_min", rep.col_weight_min),
-            ("col_weight_max", rep.col_weight_max),
-            ("row_weight_mean", _fmt_float(rep.row_weight_mean)),
-            ("row_weight_std", _fmt_float(rep.row_weight_std)),
-            ("mean_col_weight_z", _fmt_float(rep.mean_col_weight_z)),
+            (name, _fmt_float(v) if isinstance(v, float) else v)
+            for name, v in dataclasses.asdict(rep).items()
         ]
         _emit(pairs, args.json)
 
@@ -319,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--in", dest="infile", required=True)
     dec.add_argument("--out", help="write here instead of stdout")
     dec.add_argument("--format", choices=("bits", "raw"), default="bits")
-    dec.add_argument("--no-gate", action="store_true", help="accept on CRC alone")
     dec.set_defaults(func=_cmd_decrypt)
 
     ana = sub.add_parser("analyze", help="numeric reports")
@@ -383,10 +362,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         return args.func(args)
-    except (_InputError, KeyFormatError, ParamFileError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except OSError as exc:
+    except (_InputError, KeyFormatError, ParamFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except (ValueError, AssertionError, RuntimeError) as exc:

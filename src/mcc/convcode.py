@@ -24,6 +24,8 @@ MAX_STREAMS = 8
 # keygen builds dense K x N bit matrices, one byte per bit: at most 256 MiB each
 MAX_K = 1 << 13
 MAX_N = 1 << 15
+# decryption holds 2^l quotients of n * (K + p) bits each: at most 128 MiB
+MAX_HYPOTHESIS_BITS = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -86,6 +88,8 @@ class CodeParams:
             raise ValueError(f"N = n * (K + p + q) must be at most {MAX_N}")
         if not 0 <= self.l <= MAX_MASK_RANK:
             raise ValueError(f"l must be in 0..{MAX_MASK_RANK}")
+        if (self.n * (self.K + self.p)) << self.l > MAX_HYPOTHESIS_BITS:
+            raise ValueError(f"2^l * n * (K + p) must be at most {MAX_HYPOTHESIS_BITS} bits")
         e = Fraction(self.e)
         if not 0 <= e < 1:
             raise ValueError("e must lie in [0, 1)")

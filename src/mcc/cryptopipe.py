@@ -145,20 +145,17 @@ def _divide_hypotheses(c_tilde: BitVec, priv: PrivateKey) -> tuple[list[BitVec],
     return quotients, rem_weights
 
 
-def decrypt(
-    priv: PrivateKey, pub: PublicKey, ct: Ciphertext, use_gate: bool = True
-) -> BitVec:
+def decrypt(priv: PrivateKey, pub: PublicKey, ct: Ciphertext) -> BitVec:
     """Recover the plaintext or raise DecryptionFailure with all weights.
 
     The result is the candidate with the least (error weight, mask index)
-    that passes the CRC and, with use_gate, the gate. Candidates are decoded
-    in (remainder weight, mask index) order; the remainder weight only
-    orders them. Each decode is bounded by what would still change the
-    result: before any candidate is accepted, the gate bound (no bound
-    without the gate); after, the best weight, or one less for a larger mask
-    index. A decode that exceeds its bound stops with a lower bound, and one
-    that finishes has weight at most its bound, so every finished decode has
-    passed the gate.
+    that passes the CRC and the gate. Candidates are decoded in (remainder
+    weight, mask index) order; the remainder weight only orders them. Each
+    decode is bounded by what would still change the result: before any
+    candidate is accepted, the gate bound; after, the best weight, or one
+    less for a larger mask index. A decode that exceeds its bound stops with
+    a lower bound, and one that finishes has weight at most its bound, so
+    every finished decode has passed the gate.
     """
     params = priv.params
     if ct.bits.n != params.N:
@@ -166,7 +163,7 @@ def decrypt(
     c_tilde = permute(ct.bits, priv.perm, inverse=True)
     quotients, rem_weights = _divide_hypotheses(c_tilde, priv)
     trellis = build_trellis(priv.g_p, params.K)
-    gate_bound = candidate_gate(params, priv.g_q) if use_gate else None
+    gate_bound = candidate_gate(params, priv.g_q)
     weights = [0] * len(quotients)
     lower_bound = [False] * len(quotients)
     best = None  # (error weight, mask index, m_r) of the accepted candidate

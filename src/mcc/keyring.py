@@ -200,10 +200,6 @@ def keygen(
 
 # --- binary serialization -------------------------------------------------
 
-def _pack_bits_bytes(bits: np.ndarray) -> bytes:
-    return np.packbits(bits, bitorder="little").tobytes()
-
-
 def unpack_bits(raw: np.ndarray, nbits: int) -> np.ndarray:
     """Unpack little-endian bytes along the last axis to nbits bits each.
 
@@ -217,8 +213,7 @@ def unpack_bits(raw: np.ndarray, nbits: int) -> np.ndarray:
 
 
 def _encode_bitvec(v: BitVec) -> bytes:
-    bits = v.to_bits()
-    return struct.pack("<I", v.n) + _pack_bits_bytes(bits)
+    return struct.pack("<I", v.n) + np.packbits(v.to_bits(), bitorder="little").tobytes()
 
 
 def _encode_poly(p: BinPoly) -> bytes:
@@ -227,12 +222,9 @@ def _encode_poly(p: BinPoly) -> bytes:
 
 
 def _encode_matrix(m: MatF2) -> bytes:
-    # rows packed individually so each row starts on a byte boundary
-    chunks = [struct.pack("<II", m.rows, m.cols)]
-    bits = m.to_bits()
-    for i in range(m.rows):
-        chunks.append(_pack_bits_bytes(bits[i]))
-    return b"".join(chunks)
+    # packed along rows, so each row starts on a byte boundary
+    rows = np.packbits(m.to_bits(), axis=1, bitorder="little")
+    return struct.pack("<II", m.rows, m.cols) + rows.tobytes()
 
 
 class _Reader:

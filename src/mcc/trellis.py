@@ -11,8 +11,8 @@ Hamming distance between received symbol r and the output of the window
 (s << 1) | b, where s = h * 2^(p-1) + l is the predecessor state. It takes
 2^(n+p+1) bytes, 32 MB at the n = 8, p = 16 corner.
 
-A decode can be given a bound. It stops as soon as a lower bound on its
-weight exceeds the bound, and returns that lower bound. Path metrics never
+Every decode has a bound. It stops as soon as a lower bound on its weight
+exceeds the bound, and returns that lower bound. Path metrics never
 decrease along a path, so the smallest one bounds the segments decoded so
 far; the syndromes of the received word bound the segments still to come, an
 A* cost-to-go, and over the whole word they bound it before any ACS step.
@@ -141,18 +141,13 @@ def _syndrome_bounds(trellis: Trellis, received: BitVec, after: np.ndarray) -> n
     return lb
 
 
-def _forward_pass(
-    trellis: Trellis,
-    rsyms: np.ndarray,
-    bound: int | None = None,
-    tail_lb: dict[int, int] | None = None,
-):
+def _forward_pass(trellis: Trellis, rsyms: np.ndarray, bound: int, tail_lb: dict[int, int]):
     """ACS recursion; returns final path metrics and survivor bits per segment.
 
-    With a bound, after each segment t in tail_lb, which maps t to a lower
-    bound on the weight of the segments after it, the minimum metric plus
-    tail_lb[t] is compared with the bound; once it is larger the pass stops
-    and returns the current metrics plus tail_lb[t] with survivors None.
+    After each segment t in tail_lb, which maps t to a lower bound on the
+    weight of the segments after it, the minimum metric plus tail_lb[t] is
+    compared with the bound; once it is larger the pass stops and returns
+    the current metrics plus tail_lb[t] with survivors None.
     """
     ns = trellis.num_states
     half = ns >> 1
@@ -167,9 +162,8 @@ def _forward_pass(
         pm = np.minimum(cand[0], cand[1]).reshape(-1)
         if t >= trellis.K:
             pm[1::2] = _INF
-        if bound is not None and t in tail_lb:
-            if pm.min() + tail_lb[t] > bound:
-                return pm + tail_lb[t], None
+        if t in tail_lb and pm.min() + tail_lb[t] > bound:
+            return pm + tail_lb[t], None
     return pm, survivors.reshape(trellis.segments, ns)
 
 
@@ -178,21 +172,24 @@ def viterbi_decode(
 ) -> DecodeResult:
     """Minimum-Hamming-distance zero-tail path; deterministic tie-breaks.
 
-    With a bound, a word whose weight exceeds it comes back as
+    A word whose weight exceeds the bound comes back as
     DecodeResult(None, lower_bound) with bound < lower_bound <= weight; any
     other word is decoded in full. A word whose syndrome bound alone exceeds
-    the bound is not decoded at all.
+    the bound is not decoded at all. The bound defaults to the word length,
+    which never stops a decode: the syndrome bounds are admissible, so each
+    lower bound is at most the optimal weight, and that is at most the
+    word length.
     """
     if received.n != trellis.n * trellis.segments:
         raise ValueError("received length does not match the trellis")
-    tail_lb = None
-    if bound is not None:
-        last = trellis.segments - 1
-        checks = np.r_[_BOUND_INTERVAL - 1 : last : _BOUND_INTERVAL, last]
-        lb = _syndrome_bounds(trellis, received, checks)
-        if lb[0] > bound:
-            return DecodeResult(None, int(lb[0]))
-        tail_lb = dict(zip(checks.tolist(), lb[1:].tolist()))
+    if bound is None:
+        bound = received.n
+    last = trellis.segments - 1
+    checks = np.r_[_BOUND_INTERVAL - 1 : last : _BOUND_INTERVAL, last]
+    lb = _syndrome_bounds(trellis, received, checks)
+    if lb[0] > bound:
+        return DecodeResult(None, int(lb[0]))
+    tail_lb = dict(zip(checks.tolist(), lb[1:].tolist()))
     rsyms = _bits_to_symbols(received, trellis.n)
     pm, survivors = _forward_pass(trellis, rsyms, bound, tail_lb)
     if survivors is None:

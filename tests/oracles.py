@@ -198,13 +198,13 @@ def reference_outcomes(priv: PrivateKey, ct: Ciphertext) -> list[CandidateOutcom
     return outcomes
 
 
-def reference_decrypt(priv: PrivateKey, ct: Ciphertext, use_gate: bool = True) -> BitVec:
+def reference_decrypt(priv: PrivateKey, ct: Ciphertext) -> BitVec:
     """One candidate at a time: unmask, divide, decode, then rank and accept.
 
     Every candidate is divided and decoded in full before ranking by (error
-    weight, mask index); the first to pass the CRC and, when asked, the gate
-    wins. On failure the weights are reported by mask index, all exact. This
-    is the result any faster decrypt must reproduce, failures included.
+    weight, mask index); the first to pass the CRC and the gate wins. On
+    failure the weights are reported by mask index, all exact. This is the
+    result any faster decrypt must reproduce, failures included.
     """
     params = priv.params
     outcomes = reference_outcomes(priv, ct)
@@ -215,7 +215,7 @@ def reference_decrypt(priv: PrivateKey, ct: Ciphertext, use_gate: bool = True) -
         m_r = mat_vec_mul(outcome.decode.info, priv.s_inv)
         if not crc_verify(m_r, params.r_poly):
             continue
-        if use_gate and outcome.decode.error_weight > threshold:
+        if outcome.decode.error_weight > threshold:
             continue
         return BitVec.from_bits(m_r.to_bits()[: params.plaintext_len])
     raise DecryptionFailure(weights, [False] * len(weights))

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -5,6 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
+from mcc.analysis import KeyRandomnessReport
 from mcc.bitlinalg import BitVec
 from mcc.convcode import PolyGenMatrix, expand_scalar
 from mcc.cli import main
@@ -54,11 +56,6 @@ def test_keygen_encrypt_decrypt_demo_flow(demo_files):
     )
     assert code == 0, err
     code, out, err = run_cli("decrypt", "--priv", str(priv), "--pub", str(pub), "--in", str(ct))
-    assert code == 0, err
-    assert out.strip() == "111001"
-    code, out, err = run_cli(
-        "decrypt", "--priv", str(priv), "--pub", str(pub), "--in", str(ct), "--no-gate"
-    )
     assert code == 0, err
     assert out.strip() == "111001"
 
@@ -151,12 +148,16 @@ def test_analyze_alpha_runs():
     assert "alpha_total = -1.28" in out
 
 
-def test_analyze_keyrand(demo_files):
+def test_analyze_keyrand(demo_files, tmp_path):
     _, pub, _ = demo_files
-    code, out, _ = run_cli("analyze", "keyrand", "--pub", str(pub))
+    doc = tmp_path / "keyrand.json"
+    code, out, _ = run_cli("analyze", "keyrand", "--pub", str(pub), "--json", str(doc))
     assert code == 0
     assert "rank = 6" in out
     assert "full_rank = True" in out
+    fields = [f.name for f in dataclasses.fields(KeyRandomnessReport)]
+    assert list(json.loads(doc.read_text())) == fields
+    assert [line.split(" = ")[0] for line in out.splitlines()] == fields
 
 
 def test_simulate_deterministic(tmp_path):
@@ -168,10 +169,39 @@ def test_simulate_deterministic(tmp_path):
     assert "success_rate =" in out1
 
 
-def test_exit_code_usage():
+def test_exit_code_usage(demo_files):
     code, _, _ = run_cli("keygen", "--params")
     assert code == 1
     assert run_cli()[0] == 1
+    # the gate always applies; there is no flag to turn it off
+    _, pub, priv = demo_files
+    code, _, err = run_cli(
+        "decrypt", "--priv", str(priv), "--pub", str(pub), "--in", str(pub), "--no-gate"
+    )
+    assert code == 1, err
+
+
+def test_exit_code_missing_files(demo_files, tmp_path):
+    _, pub, priv = demo_files
+    msg = tmp_path / "m.txt"
+    msg.write_text("111001")
+    ct = tmp_path / "ct.bin"
+    assert run_cli("encrypt", "--pub", str(pub), "--in", str(msg), "--out", str(ct))[0] == 0
+    missing = str(tmp_path / "nope")
+    keys = ("--out-pub", str(tmp_path / "a"), "--out-priv", str(tmp_path / "b"))
+    for argv in (
+        ("decrypt", "--priv", missing, "--pub", str(pub), "--in", str(ct)),
+        ("decrypt", "--priv", str(priv), "--pub", missing, "--in", str(ct)),
+        ("decrypt", "--priv", str(priv), "--pub", str(pub), "--in", missing),
+        ("encrypt", "--pub", missing, "--in", str(msg), "--out", str(tmp_path / "c")),
+        ("encrypt", "--pub", str(pub), "--in", missing, "--out", str(tmp_path / "c")),
+        ("analyze", "keyrand", "--pub", missing),
+        ("keygen", "--params", "demo", "--inject", missing, *keys),
+        ("keygen", "--params", missing, *keys),
+    ):
+        code, _, err = run_cli(*argv)
+        assert code == 2, (argv, err)
+        assert err.startswith("error: ") and missing in err, (argv, err)
 
 
 def test_exit_code_malformed_inputs(tmp_path, demo):
@@ -230,6 +260,17 @@ def test_exit_code_malformed_inputs(tmp_path, demo):
     )
     assert code == 2, err
     assert "K must be" in err
+    # 2^20 decryption hypotheses of 2^15 bits each would take 4 GiB
+    params.write_text(
+        "n = 4\np = 16\nq = 0\nK = 8176\nl = 20\ne = 1/100\n"
+        f"g_p = {'; '.join(['[0,16]'] * 4)}\ng_q = {'; '.join(['[0]'] * 4)}\n"
+    )
+    code, _, err = run_cli(
+        "keygen", "--params", str(params),
+        "--out-pub", str(tmp_path / "a"), "--out-priv", str(tmp_path / "b"),
+    )
+    assert code == 2, err
+    assert "2^l" in err
     msg = tmp_path / "short.txt"
     msg.write_text("01")
     code, _, _ = run_cli(

@@ -196,6 +196,13 @@ def test_code_params_invariants():
         CodeParams(n=2, p=2, q=7, K=3_000_000, l=2, e=Fraction(0), r_poly=BinPoly.one())
     with pytest.raises(ValueError, match="N = "):
         CodeParams(n=8, p=2, q=100, K=4000, l=2, e=Fraction(0), r_poly=BinPoly.one())
+    # decryption's 2^l quotients of n * (K + p) bits: 2^15 bits each here
+    assert CodeParams(
+        n=4, p=16, q=0, K=8176, l=15, e=Fraction(0), r_poly=BinPoly.one()
+    ).N == MAX_N
+    for l in (16, 20):
+        with pytest.raises(ValueError, match="2\\^l"):
+            CodeParams(n=4, p=16, q=0, K=8176, l=l, e=Fraction(0), r_poly=BinPoly.one())
 
 
 def test_poly_gen_matrix_validation():

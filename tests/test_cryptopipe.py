@@ -197,15 +197,15 @@ def _decrypt_outcome(fn, *args, **kwargs):
         return "failure", exc
 
 
-def _assert_matches_reference(priv, pub, ct, use_gate):
+def _assert_matches_reference(priv, pub, ct):
     """Same plaintext, or a failure whose weights agree with the reference.
 
     Exact entries must equal the reference weight. A lower-bound entry comes
-    only from a gated decode that stopped above the gate bound, so it must
-    lie above that bound and at or below the reference weight.
+    only from a decode that stopped above the gate bound, so it must lie
+    above that bound and at or below the reference weight.
     """
-    kind, got = _decrypt_outcome(decrypt, priv, pub, ct, use_gate=use_gate)
-    ref_kind, ref = _decrypt_outcome(reference_decrypt, priv, ct, use_gate=use_gate)
+    kind, got = _decrypt_outcome(decrypt, priv, pub, ct)
+    ref_kind, ref = _decrypt_outcome(reference_decrypt, priv, ct)
     assert kind == ref_kind
     if kind == "plaintext":
         assert got == ref
@@ -215,14 +215,13 @@ def _assert_matches_reference(priv, pub, ct, use_gate):
     bound = candidate_gate(priv.params, priv.g_q)
     for w, lb, ref_w in zip(got.candidate_weights, got.lower_bound, ref.candidate_weights):
         if lb:
-            assert use_gate and bound < w <= ref_w
+            assert bound < w <= ref_w
         else:
             assert w == ref_w
     return kind
 
 
-@pytest.mark.parametrize("use_gate", [True, False])
-def test_decrypt_matches_reference_pipeline(demo, demo_keys, desk_keys, use_gate):
+def test_decrypt_matches_reference_pipeline(demo, demo_keys, desk_keys):
     rng = np.random.default_rng(17)
     golden = encrypt(demo_keys[0], demo.message, rng, error=demo.error_vector)
     cases = [(demo_keys, golden)]
@@ -247,7 +246,7 @@ def test_decrypt_matches_reference_pipeline(demo, demo_keys, desk_keys, use_gate
             cases.append((desk_keys, Ciphertext(ct.bits ^ flips)))
     kinds = set()
     for (pub, priv), ct in cases:
-        kinds.add(_assert_matches_reference(priv, pub, ct, use_gate))
+        kinds.add(_assert_matches_reference(priv, pub, ct))
     assert kinds == {"plaintext", "failure"}
 
 
@@ -270,16 +269,14 @@ def test_decrypt_failure_reports_all_weights(desk_keys):
     weights = err.value.candidate_weights
     assert len(weights) == 16
     assert all(w > 0 for w in weights)
+    # with nothing accepted every decode is bounded by the gate: it stops
+    # exactly when its weight exceeds the gate bound
     bound = candidate_gate(priv.params, priv.g_q)
-    assert all(w > bound for w, lb in zip(weights, err.value.lower_bound) if lb)
+    assert err.value.lower_bound == [w > bound for w in weights]
     assert any(err.value.lower_bound)
     text = err.value.weights_text()
     assert text.count(">=") == sum(err.value.lower_bound)
     assert text.count(",") == 15
-    # without the gate no decode has a bound, so every weight is exact
-    with pytest.raises(DecryptionFailure) as err:
-        decrypt(priv, pub, garbage, use_gate=False)
-    assert not any(err.value.lower_bound)
 
 
 @pytest.fixture(scope="module")

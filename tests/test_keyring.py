@@ -336,3 +336,7 @@ def test_over_cap_sizes_rejected_in_files(demo_keys):
         parse_param_file(text + f"g_q = [0,7]; [{MAX_N}]\n")
     with pytest.raises(ParamFileError, match="K must be"):
         parse_param_file(text.replace("K = 6", "K = 3000000") + "g_q = [0,7]; [7]\n")
+    # n, p, q, K, N, l: 2^20 hypotheses of 2^15 bits would take 4 GiB to decrypt
+    header = struct.pack("<IIIIII", 4, 16, 0, 8176, 32768, 20)
+    with pytest.raises(KeyFormatError, match="2\\^l"):
+        deserialize_key(blob[:6] + header + blob[30:])

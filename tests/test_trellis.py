@@ -151,7 +151,8 @@ def test_forward_pass_matches_reference(desk):
         t = build_trellis(polys, k)
         for _ in range(3):
             rsyms = _bits_to_symbols(BitVec.random(t.n * t.segments, rng), t.n)
-            pm, survivors = _forward_pass(t, rsyms, bound=None)
+            # the word length as the bound and no checks: a full pass
+            pm, survivors = _forward_pass(t, rsyms, t.n * t.segments, {})
             ref_pm, ref_survivors, _ = reference_forward_pass(t, rsyms)
             assert np.array_equal(pm, ref_pm)
             assert np.array_equal(survivors, ref_survivors)
@@ -173,7 +174,8 @@ def test_bounded_decode_is_exact_or_a_lower_bound(desk):
                 received = cw ^ BitVec.from_indices(cw.n, rng.choice(cw.n, flips, replace=False))
             full = viterbi_decode(t, received)
             w = full.error_weight
-            for bound in sorted({-1, 0, w // 2} | set(range(w - 2, w + 3))):
+            # received.n is the bound an omitted one stands for
+            for bound in sorted({-1, 0, w // 2, received.n} | set(range(w - 2, w + 3))):
                 res = viterbi_decode(t, received, bound)
                 if w <= bound:
                     assert res == full
