@@ -5,6 +5,12 @@ endian within machine words). Matrices are row-major, every row padded with
 zero bits up to a word boundary, so XOR and popcount kernels operate on
 whole uint64 words. All values are immutable after construction and safe to
 share across threads.
+
+Elimination and multiplication use Four Russians tables (Arlazarov et al.;
+M4RI's elimination, Albrecht, Bard & Hart, ACM TOMS 2010): up to 8 pivot
+rows or rows of the right factor are combined into a table of all 2^8 XOR
+sums, and one gather-and-XOR indexed by 8 bits of every other row applies
+it, so each table replaces 8 one-row passes over the matrix.
 """
 
 from __future__ import annotations
@@ -15,6 +21,12 @@ import numpy as np
 
 _WORD = 64
 _ONE = np.uint64(1)
+# columns per elimination block and rows per multiplication table
+_BLOCK = 8
+# nonzero rows tried for a block's pivots before the exact distinct-value search
+_PIVOT_PROBE = 64
+# rows unpacked at a time when permuting columns, which bounds the dense copy
+_PERMUTE_ROWS = 256
 # a uniform square matrix is nonsingular with probability > 0.28
 _NONSINGULAR_TRIES = 256
 
@@ -282,48 +294,117 @@ def mat_add(a: MatF2, b: MatF2) -> MatF2:
     return MatF2(a.rows, a.cols, a.data ^ b.data)
 
 
+def _combinations(rows: np.ndarray) -> np.ndarray:
+    """Table whose entry j is the XOR of the rows picked by the bits of j."""
+    table = np.zeros((1 << rows.shape[0], rows.shape[1]), dtype=np.uint64)
+    for i, row in enumerate(rows):
+        np.bitwise_xor(table[: 1 << i], row, out=table[1 << i : 2 << i])
+    return table
+
+
 def mat_mul(a: MatF2, b: MatF2) -> MatF2:
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.shape} times {b.shape}")
-    abits = a.to_bits()
     out = np.zeros((a.rows, b.data.shape[1]), dtype=np.uint64)
-    for i in range(a.rows):
-        idx = np.nonzero(abits[i])[0]
-        if idx.size:
-            out[i] = np.bitwise_xor.reduce(b.data[idx], axis=0)
+    # byte g of a packed row holds its columns 8g .. 8g + 7
+    abytes = a.data.view(np.uint8)
+    for g in range(0, b.rows, _BLOCK):
+        out ^= _combinations(b.data[g : g + _BLOCK])[abytes[:, g // _BLOCK]]
     return MatF2(a.rows, b.cols, out)
 
 
-def _eliminate(work: np.ndarray, ncols: int, reduce_above: bool) -> int:
-    """In-place Gaussian elimination on packed rows over the first ncols columns.
+def _block_pivots(vals: np.ndarray, width: int) -> tuple[list[int], list[int], list[int]]:
+    """Pivot rows of one column block, chosen from the rows' block bits.
 
-    Pivot choice is the lowest row index with a 1 in the pivot column, which
-    keeps the reduction deterministic. Returns the rank.
+    ``vals`` holds each unreduced row's bits in the block as a small int.
+    Returns the picked rows (indices into ``vals``), whose values span all
+    of ``vals``, and for each pivot column in ascending order its bit in the
+    block and the set of picked rows (a bit mask over ``picked``) whose XOR
+    is 1 at that pivot column and 0 at the others.
     """
-    nrows = work.shape[0]
-    rank = 0
-    for col in range(ncols):
-        if rank == nrows:
+    # lowest set bit -> (reduced value, picked rows it combines)
+    basis: dict[int, tuple[int, int]] = {}
+    picked: list[int] = []
+
+    def absorb(values: list[int], rows: list[int] | None) -> None:
+        for n, value in enumerate(values):
+            v, comb = value, 0
+            while v and (low := v & -v) in basis:
+                bv, bc = basis[low]
+                v ^= bv
+                comb ^= bc
+            if v:
+                basis[low] = (v, comb ^ (1 << len(picked)))
+                picked.append(rows[n] if rows is not None else int(np.argmax(vals == value)))
+                if len(picked) == width:
+                    return
+
+    nz = np.flatnonzero(vals)[:_PIVOT_PROBE]
+    absorb(vals[nz].tolist(), nz.tolist())
+    if len(picked) < width and nz.size == _PIVOT_PROBE:
+        # the distinct values, at most 2^width of them, span the rest
+        absorb(np.flatnonzero(np.bincount(vals.astype(np.intp))).tolist(), None)
+    lows = sorted(basis)
+    for a in range(len(lows) - 1, -1, -1):
+        v, c = basis[lows[a]]
+        for high in lows[a + 1 :]:
+            if v & high:
+                hv, hc = basis[high]
+                v ^= hv
+                c ^= hc
+        basis[lows[a]] = (v, c)
+    return picked, [low.bit_length() - 1 for low in lows], [basis[low][1] for low in lows]
+
+
+def _eliminate(work: np.ndarray, ncols: int, reduce_above: bool) -> int:
+    """Table-driven Gaussian elimination on packed rows over the first ncols columns.
+
+    Columns go in blocks of up to 8 inside one word. The block's pivot rows
+    are moved to the top of the unreduced rows and reduced on the pivot bits;
+    a table holds, for every value of the block's bits, the XOR of the pivot
+    rows that clears it, and one gather-and-XOR clears the block from every
+    other row. With ``reduce_above`` the pivot rows end in column order and
+    every row is reduced, in place; otherwise only rows below are, and
+    finished rows, zero rows and words left of the block are dropped as the
+    elimination goes, so only the returned rank is meaningful.
+    """
+    done = 0  # pivot rows dropped from work
+    top = 0  # rows of work above top are pivot rows
+    dropped = 0  # words dropped from the left of work
+    for c0 in range(0, ncols, _BLOCK):
+        w, sh = divmod(c0, _WORD)
+        if not reduce_above and sh == 0 and c0:
+            rest = work[top:, w - dropped :]
+            work = rest[rest.any(axis=1)]
+            done, top, dropped = done + top, 0, w
+        if top == work.shape[0]:
             break
-        w = col >> 6
-        sh = np.uint64(col & 63)
-        below = (work[rank:, w] >> sh) & _ONE
-        nz = np.nonzero(below)[0]
-        if nz.size == 0:
+        w -= dropped
+        width = min(_BLOCK, ncols - c0)
+        vals = (work[:, w] >> np.uint64(sh)) & np.uint64((1 << width) - 1)
+        picked, bits, combs = _block_pivots(vals[top:], width)
+        r = len(picked)
+        if not r:
             continue
-        piv = rank + int(nz[0])
-        if piv != rank:
-            work[[rank, piv]] = work[[piv, rank]]
-        if reduce_above:
-            sel = ((work[:, w] >> sh) & _ONE).astype(bool)
-            sel[rank] = False
-        else:
-            sel = np.zeros(nrows, dtype=bool)
-            sel[rank + 1 :] = ((work[rank + 1 :, w] >> sh) & _ONE).astype(bool)
-        if sel.any():
-            work[sel] ^= work[rank]
-        rank += 1
-    return rank
+        rows = [top + i for i in picked]
+        piv = _combinations(work[rows, w:])[combs]
+        # swap the rows that sat at top .. top + r - 1 into the picked places
+        head = range(top, top + r)
+        free = [i for i in rows if i not in head]
+        if free:
+            displaced = [i for i in head if i not in rows]
+            work[free] = work[displaced]
+            vals[free] = vals[displaced]
+        work[top : top + r, w:] = piv
+        vals[top : top + r] = 0
+        # indexed by the block value; non-pivot bits pick the zero row
+        by_bit = np.zeros((width, piv.shape[1]), dtype=np.uint64)
+        by_bit[bits] = piv
+        table = _combinations(by_bit)
+        start = 0 if reduce_above else top + r
+        work[start:, w:] ^= table[vals[start:]]
+        top += r
+    return done + top
 
 
 def rank(m: MatF2) -> int:
@@ -336,13 +417,16 @@ def rank_invert(m: MatF2) -> tuple[int, MatF2 | None]:
     if m.rows != m.cols:
         raise ValueError("matrix is not square")
     k = m.rows
-    aug = np.hstack([m.to_bits(), np.eye(k, dtype=np.uint8)])
-    work = _pack(aug)
+    nw = m.data.shape[1]
+    # [A | I] with I starting on a word boundary, reduced to [I | A^-1]
+    work = np.zeros((k, 2 * nw), dtype=np.uint64)
+    work[:, :nw] = m.data
+    i = np.arange(k)
+    work[i, nw + (i >> 6)] = _ONE << (i & 63).astype(np.uint64)
     r = _eliminate(work, k, reduce_above=True)
     if r < k:
         return r, None
-    inv_bits = _unpack(work, 2 * k)[:, k:]
-    return k, MatF2.from_bits(inv_bits)
+    return k, MatF2(k, k, work[:, nw:])
 
 
 def random_nonsingular(k: int, rng: np.random.Generator) -> MatF2:
@@ -379,4 +463,8 @@ def mat_permute_cols(m: MatF2, pi: Permutation) -> MatF2:
     """Permute matrix columns the same way permute() moves vector entries."""
     if m.cols != len(pi):
         raise ValueError("length mismatch")
-    return MatF2.from_bits(m.to_bits()[:, pi.sources])
+    out = np.empty_like(m.data)
+    for i in range(0, m.rows, _PERMUTE_ROWS):
+        rows = _unpack(m.data[i : i + _PERMUTE_ROWS], m.cols)
+        out[i : i + _PERMUTE_ROWS] = _pack(np.take(rows, pi.sources, axis=1))
+    return MatF2(m.rows, m.cols, out)

@@ -105,8 +105,12 @@ def _cmd_keygen(args) -> int:
     seed = _resolve_seed(seed, sys.stdout)
     material = None
     if args.inject:
-        with open(args.inject, "r", encoding="utf-8") as fh:
-            material = parse_inject_json(fh.read(), pf.params)
+        try:
+            with open(args.inject, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise _InputError(f"cannot read {args.inject}: {exc}") from exc
+        material = parse_inject_json(text, pf.params)
     try:
         pub, priv = keyring.keygen(
             pf.params, pf.g_p, pf.g_q, np.random.default_rng(seed), material=material

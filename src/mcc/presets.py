@@ -138,7 +138,7 @@ def load_params(path_or_preset: str) -> ParamFile:
     try:
         with open(path_or_preset, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParamFileError(f"cannot read {path_or_preset}: {exc}") from exc
     return parse_param_file(text)
 

@@ -327,6 +327,18 @@ def test_exit_code_malformed_inputs(tmp_path, demo):
         assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("flags", [("--params",), ("--params", "demo", "--inject")])
+def test_exit_code_param_or_inject_file_not_utf8(tmp_path, flags):
+    bad = tmp_path / "bad.params"
+    bad.write_bytes(b"\xff\xfe")
+    code, _, err = run_cli(
+        "keygen", *flags, str(bad),
+        "--out-pub", str(tmp_path / "a"), "--out-priv", str(tmp_path / "b"),
+    )
+    assert code == 2, err
+    assert err.startswith("error: ") and str(bad) in err
+
+
 def test_exit_code_malformed_key_files(demo_files, tmp_path):
     from mcc.keyring import deserialize_key
     from test_keyring import crafted_header_blobs

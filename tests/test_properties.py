@@ -1,4 +1,5 @@
-"""Property tests: serialization round trips and malformed input handling."""
+"""Property tests: GF(2) kernels against their oracles, serialization round
+trips and malformed input handling."""
 
 import contextlib
 from fractions import Fraction
@@ -8,7 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcc.bitlinalg import BitVec
+from mcc.bitlinalg import (
+    BitVec,
+    MatF2,
+    Permutation,
+    mat_mul,
+    mat_permute_cols,
+    rank,
+    rank_invert,
+)
+from mcc.convcode import PolyGenMatrix, expand_scalar
 from mcc.cryptopipe import Ciphertext, deserialize_ciphertext, encrypt, serialize_ciphertext
 from mcc.keyring import (
     KeyFormatError,
@@ -18,7 +28,14 @@ from mcc.keyring import (
     keygen,
     serialize_key,
 )
+from mcc.gf2poly import BinPoly
 from mcc.presets import load_preset, parse_param_file
+from oracles import (
+    reference_mat_mul,
+    reference_permute_cols,
+    reference_rank,
+    reference_rank_invert,
+)
 from test_cli import run_cli
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -48,6 +65,100 @@ def test_key_and_ciphertext_round_trip(preset, seed):
 def test_ciphertext_round_trip_any_length(nbits, seed):
     ct = Ciphertext(BitVec.random(nbits, np.random.default_rng(seed)))
     assert deserialize_ciphertext(serialize_ciphertext(ct)) == ct
+
+
+MATRIX_KINDS = ["random", "sparse", "zero", "identity", "dependent", "invertible"]
+
+
+@st.composite
+def bit_matrices(draw, square=False):
+    """Matrices up to 200 x 300, sizes off word and byte boundaries included.
+
+    "dependent" makes row 2 the XOR of rows 0 and 1 and zeroes three columns;
+    "invertible" (square only; otherwise random) is a row-permuted product of
+    unit lower and unit upper triangular matrices.
+    """
+    rows = draw(st.integers(0, 200))
+    cols = rows if square else draw(st.integers(0, 300))
+    kind = draw(st.sampled_from(MATRIX_KINDS))
+    rng = np.random.default_rng(draw(SEEDS))
+    if kind == "zero":
+        bits = np.zeros((rows, cols), dtype=np.uint8)
+    elif kind == "identity":
+        bits = np.eye(rows, cols, dtype=np.uint8)
+    elif kind == "sparse":
+        bits = (rng.random((rows, cols)) < 0.03).astype(np.uint8)
+    elif kind == "invertible" and rows == cols:
+        lower = np.tril(rng.integers(0, 2, (rows, rows)), -1) + np.eye(rows, dtype=np.int64)
+        upper = np.triu(rng.integers(0, 2, (rows, rows)), 1) + np.eye(rows, dtype=np.int64)
+        bits = ((lower @ upper) & 1)[rng.permutation(rows)]
+    else:
+        bits = rng.integers(0, 2, (rows, cols), dtype=np.uint8)
+    if kind == "dependent":
+        if rows >= 3:
+            bits[2] = bits[0] ^ bits[1]
+        if cols:
+            bits[:, rng.integers(0, cols, 3)] = 0
+    return MatF2.from_bits(bits)
+
+
+@st.composite
+def masked_band_matrices(draw):
+    """expand_scalar(g) plus a mask of rank at most l, the matrix keygen ranks,
+    with its rows in order or shuffled."""
+    n = draw(st.integers(1, 4))
+    memory = draw(st.integers(0, 12))
+    K = draw(st.integers(1, 300 // n - memory))
+    rng = np.random.default_rng(draw(SEEDS))
+    polys = []
+    for j in range(n):
+        if draw(st.booleans()):
+            # a pure shift zeroes whole column regions of the band
+            polys.append(BinPoly(1 << int(rng.integers(0, memory + 1))))
+        else:
+            polys.append(BinPoly(int(rng.integers(1, 1 << (memory + 1)))))
+    band = expand_scalar(PolyGenMatrix(tuple(polys)), K, memory)
+    l = draw(st.integers(0, 5))
+    basis = rng.integers(0, 2, (l, band.cols))
+    bits = band.to_bits() ^ ((rng.integers(0, 2, (K, l)) @ basis) & 1).astype(np.uint8)
+    if draw(st.booleans()):
+        # out of band order, a block's pivots lie beyond the first rows probed
+        bits = bits[rng.permutation(K)]
+    return MatF2.from_bits(bits)
+
+
+@SETTINGS
+@given(m=st.one_of(bit_matrices(), masked_band_matrices()))
+def test_rank_matches_oracle(m):
+    assert rank(m) == reference_rank(m)
+
+
+@SETTINGS
+@given(m=bit_matrices(square=True))
+def test_rank_invert_matches_oracle(m):
+    r, inv = rank_invert(m)
+    ref_r, ref_inv = reference_rank_invert(m)
+    assert r == ref_r
+    if ref_inv is None:
+        assert inv is None
+    else:
+        assert inv == ref_inv
+        assert mat_mul(m, inv) == MatF2.identity(m.rows)
+
+
+@SETTINGS
+@given(a=bit_matrices(), n=st.integers(0, 300), seed=SEEDS)
+def test_mat_mul_matches_oracle(a, n, seed):
+    b = MatF2.from_bits(np.random.default_rng(seed).integers(0, 2, (a.cols, n), dtype=np.uint8))
+    assert mat_mul(a, b) == reference_mat_mul(a, b)
+
+
+@SETTINGS
+@given(m=bit_matrices(), seed=SEEDS)
+def test_mat_permute_cols_matches_oracle(m, seed):
+    if m.cols:
+        pi = Permutation(np.random.default_rng(seed).permutation(m.cols))
+        assert mat_permute_cols(m, pi) == reference_permute_cols(m, pi)
 
 
 def key_blobs(demo_keys, desk_keys):
