@@ -1,14 +1,9 @@
 """Public-key encryption from masked high-memory convolutional codes."""
 
 from .bitlinalg import BitVec
-from .cryptopipe import (
-    DecryptionFailure,
-    decrypt,
-    deserialize_ciphertext,
-    encrypt,
-    serialize_ciphertext,
-)
+from .cryptopipe import DecryptionFailure, decrypt, encrypt
 from .keyring import KeyFormatError, deserialize_key, keygen, load_key, save_key, serialize_key
+from .keyring import deserialize_ciphertext, serialize_ciphertext
 from .presets import ParamFileError, load_preset
 
 # perfbench/selftest.py deletes and restores mcc.viterbi_decode to check that

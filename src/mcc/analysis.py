@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitlinalg import MatF2, rank
-from .convcode import PolyGenMatrix
+from .convcode import MAX_N, PolyGenMatrix
 from .gf2poly import BinPoly, poly_divmod
 
 _LOG2_029 = math.log2(0.29)
@@ -51,6 +51,9 @@ def estimate_alpha(g_q: PolyGenMatrix, e: float, stream_len: int) -> tuple[float
     """
     if not 0 <= e < 1:
         raise ValueError("e must lie in [0, 1)")
+    # the work and memory grow with stream_len; no key has a longer stream
+    if stream_len > MAX_N:
+        raise ValueError(f"stream length must be at most {MAX_N}")
     quot_len = stream_len - g_q.memory
     if quot_len <= 0:
         raise ValueError("stream shorter than the divisor degree")
@@ -126,22 +129,29 @@ def window_failure(
 
     p_window is the exact probability of more than t_corr errors among
     window_bits positions at rate p_eff; the second value is the chance that
-    none of `windows` independent windows overloads.
+    none of `windows` independent windows overloads. Each binomial term is
+    evaluated in the log domain, since C(window_bits, i) overflows a float
+    beyond about 1030 bits.
     """
     if not 0 <= p_eff <= 1:
         raise ValueError("p_eff outside [0, 1]")
     if not 0 <= t_corr < window_bits:
         raise ValueError("need 0 <= t_corr < window_bits")
+    if window_bits > MAX_N:
+        raise ValueError(f"window_bits must be at most {MAX_N}")
     if windows < 0:
         raise ValueError("negative window count")
-    p_window = 0.0
-    for i in range(window_bits, t_corr, -1):
-        p_window += (
-            math.comb(window_bits, i)
-            * p_eff**i
-            * (1.0 - p_eff) ** (window_bits - i)
+    if p_eff in (0.0, 1.0):
+        # no errors, or all window_bits > t_corr of them
+        p_window = p_eff
+    else:
+        w = window_bits
+        log_p, log_q, log_w = math.log(p_eff), math.log1p(-p_eff), math.lgamma(w + 1)
+        log_terms = (
+            log_w - math.lgamma(i + 1) - math.lgamma(w - i + 1) + i * log_p + (w - i) * log_q
+            for i in range(t_corr + 1, w + 1)
         )
-    p_window = min(p_window, 1.0)
+        p_window = min(1.0, math.fsum(map(math.exp, log_terms)))
     return p_window, (1.0 - p_window) ** windows
 
 

@@ -143,7 +143,7 @@ def _cmd_encrypt(args) -> int:
     seed = _resolve_seed(args.seed, sys.stdout)
     ct = cryptopipe.encrypt(pub, m, np.random.default_rng(seed), error=error)
     with open(args.out, "wb") as fh:
-        fh.write(cryptopipe.serialize_ciphertext(ct))
+        fh.write(keyring.serialize_ciphertext(ct))
     print(f"ciphertext written to {args.out}")
     return EXIT_OK
 
@@ -152,9 +152,9 @@ def _cmd_decrypt(args) -> int:
     priv = _load_key(args.priv, PrivateKey)
     pub = _load_key(args.pub, PublicKey)
     with open(args.infile, "rb") as fh:
-        ct = cryptopipe.deserialize_ciphertext(fh.read())
-    if ct.bits.n != priv.params.N:
-        raise _InputError(f"ciphertext has {ct.bits.n} bits; the key expects N = {priv.params.N}")
+        ct = keyring.deserialize_ciphertext(fh.read())
+    if ct.n != priv.params.N:
+        raise _InputError(f"ciphertext has {ct.n} bits; the key expects N = {priv.params.N}")
     try:
         plaintext = cryptopipe.decrypt(priv, pub, ct)
     except cryptopipe.DecryptionFailure as exc:
@@ -241,14 +241,14 @@ def _cmd_simulate(args) -> int:
     if args.trials < 1:
         raise _InputError("--trials must be at least 1")
     seed = _resolve_seed(seed, sys.stdout)
+    # one child at a time: the same children as spawn(trials + 1), none held ahead
     seq = np.random.SeedSequence(seed)
-    key_seed, *trial_seeds = seq.spawn(args.trials + 1)
-    pub, priv = keyring.keygen(pf.params, pf.g_p, pf.g_q, np.random.default_rng(key_seed))
+    pub, priv = keyring.keygen(pf.params, pf.g_p, pf.g_q, np.random.default_rng(seq.spawn(1)[0]))
     successes = 0
     detected = 0
     wrong = 0
-    for ts in trial_seeds:
-        rng = np.random.default_rng(ts)
+    for _ in range(args.trials):
+        rng = np.random.default_rng(seq.spawn(1)[0])
         m = BitVec.random(pf.params.plaintext_len, rng)
         ct = cryptopipe.encrypt(pub, m, rng)
         try:

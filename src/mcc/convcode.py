@@ -126,13 +126,11 @@ def interleave(streams: Sequence[BitVec]) -> BitVec:
     return BitVec.from_bits(out)
 
 
-def deinterleave(v: BitVec, n: int, i: int) -> BitVec:
-    """Extract stream i: positions i, n+i, 2n+i, ... of v."""
+def deinterleave(v: BitVec, n: int) -> list[BitVec]:
+    """Split v into its n streams; stream j holds positions j, n+j, 2n+j, ..."""
     if n < 1 or v.n % n:
         raise ValueError("length not divisible by the stream count")
-    if not 0 <= i < n:
-        raise ValueError("stream index out of range")
-    return BitVec.from_bits(v.to_bits()[i::n])
+    return [BitVec.from_bits(s) for s in v.to_bits().reshape(-1, n).T]
 
 
 def expand_scalar(polys: PolyGenMatrix, K: int, memory: int) -> MatF2:

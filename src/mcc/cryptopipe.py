@@ -16,8 +16,6 @@ bounds, so no accepted decode is checked against it again.
 from __future__ import annotations
 
 import math
-import struct
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -26,16 +24,8 @@ from .analysis import estimate_alpha
 from .bitlinalg import BitVec, mat_vec_mul, permute
 from .convcode import CodeParams, PolyGenMatrix, deinterleave, interleave
 from .gf2poly import BinPoly, crc_append, crc_verify, poly_divmod
-from .keyring import KeyFormatError, PrivateKey, PublicKey, unpack_bits
+from .keyring import PrivateKey, PublicKey
 from .trellis import build_trellis, viterbi_decode
-
-_CT_MAGIC = b"MCCc"
-_CT_VERSION = 1
-
-
-@dataclass(frozen=True)
-class Ciphertext:
-    bits: BitVec
 
 
 class DecryptionFailure(Exception):
@@ -63,7 +53,7 @@ def encrypt(
     m: BitVec,
     rng: np.random.Generator,
     error: BitVec | None = None,
-) -> Ciphertext:
+) -> BitVec:
     """CRC-extend, encode through the public matrix, add Bernoulli errors.
 
     A fixed error vector can be injected in place of the random draw.
@@ -77,7 +67,7 @@ def encrypt(
         error = BitVec.bernoulli(params.N, float(params.e), rng)
     elif error.n != params.N:
         raise ValueError("error vector length mismatch")
-    return Ciphertext(c ^ error)
+    return c ^ error
 
 
 def enumerate_candidates(start, steps: Sequence) -> Iterator:
@@ -110,9 +100,8 @@ def invert_highmem(
     streams = []
     remainders = 0
     offset = 0
-    for j, q_j in enumerate(g_q.polys):
-        stream = BinPoly.from_bitvec(deinterleave(candidate, params.n, j))
-        quot, rem = poly_divmod(stream, q_j)
+    for stream, q_j in zip(deinterleave(candidate, params.n), g_q.polys):
+        quot, rem = poly_divmod(BinPoly.from_bitvec(stream), q_j)
         streams.append(quot.truncate(quot_len).to_bitvec(quot_len))
         remainders |= rem.value << offset
         offset += q_j.degree
@@ -145,7 +134,7 @@ def _divide_hypotheses(c_tilde: BitVec, priv: PrivateKey) -> tuple[list[BitVec],
     return quotients, rem_weights
 
 
-def decrypt(priv: PrivateKey, pub: PublicKey, ct: Ciphertext) -> BitVec:
+def decrypt(priv: PrivateKey, pub: PublicKey, ct: BitVec) -> BitVec:
     """Recover the plaintext or raise DecryptionFailure with all weights.
 
     The result is the candidate with the least (error weight, mask index)
@@ -158,9 +147,9 @@ def decrypt(priv: PrivateKey, pub: PublicKey, ct: Ciphertext) -> BitVec:
     every finished decode has passed the gate.
     """
     params = priv.params
-    if ct.bits.n != params.N:
+    if ct.n != params.N:
         raise ValueError("ciphertext length mismatch")
-    c_tilde = permute(ct.bits, priv.perm, inverse=True)
+    c_tilde = permute(ct, priv.perm, inverse=True)
     quotients, rem_weights = _divide_hypotheses(c_tilde, priv)
     trellis = build_trellis(priv.g_p, params.K)
     gate_bound = candidate_gate(params, priv.g_q)
@@ -184,26 +173,3 @@ def decrypt(priv: PrivateKey, pub: PublicKey, ct: Ciphertext) -> BitVec:
     if best is None:
         raise DecryptionFailure(weights, lower_bound)
     return BitVec.from_bits(best[2].to_bits()[: params.plaintext_len])
-
-
-def serialize_ciphertext(ct: Ciphertext) -> bytes:
-    bits = ct.bits.to_bits()
-    return (
-        _CT_MAGIC
-        + bytes([_CT_VERSION])
-        + struct.pack("<Q", ct.bits.n)
-        + np.packbits(bits, bitorder="little").tobytes()
-    )
-
-
-def deserialize_ciphertext(data: bytes) -> Ciphertext:
-    if len(data) < 13 or data[:4] != _CT_MAGIC:
-        raise KeyFormatError("bad ciphertext magic")
-    if data[4] != _CT_VERSION:
-        raise KeyFormatError(f"unsupported ciphertext version {data[4]}")
-    (nbits,) = struct.unpack("<Q", data[5:13])
-    payload = data[13:]
-    if len(payload) != (nbits + 7) // 8:
-        raise KeyFormatError("ciphertext payload length mismatch")
-    bits = unpack_bits(np.frombuffer(payload, dtype=np.uint8), nbits)
-    return Ciphertext(BitVec.from_bits(bits))

@@ -141,10 +141,9 @@ def crc_append(m: BitVec, r_poly: BinPoly) -> BitVec:
     r = r_poly.degree
     if r == 0:
         return m
-    shifted = BinPoly(BinPoly.from_bitvec(m).value << r)
-    _, rem = poly_divmod(shifted, r_poly)
-    bits = list(m.to_bits()) + list(rem.to_bitvec(r).to_bits())
-    return BitVec.from_bits(bits)
+    word = m.to_int()
+    _, rem = poly_divmod(BinPoly(word << r), r_poly)
+    return BitVec.from_int(m.n + r, word | rem.value << m.n)
 
 
 def crc_verify(m_r: BitVec, r_poly: BinPoly) -> bool:

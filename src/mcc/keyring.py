@@ -1,4 +1,4 @@
-"""Key generation and binary key serialization.
+"""Key generation and the binary key and ciphertext files.
 
 The public matrix is built as scramble * (high-memory generator + mask) *
 permutation. The mask rows are drawn from the span of a small independent
@@ -34,6 +34,8 @@ from .gf2poly import BinPoly
 
 _MAGIC = b"MCC1"
 _VERSION = 2
+_CT_MAGIC = b"MCCc"
+_CT_VERSION = 1
 _KIND_PUBLIC = 1
 _KIND_PRIVATE = 2
 _MASK_RETRY_CAP = 64
@@ -200,10 +202,15 @@ def keygen(
 
 # --- binary serialization -------------------------------------------------
 
-def unpack_bits(raw: np.ndarray, nbits: int) -> np.ndarray:
+def _pack_bits(bits: np.ndarray) -> bytes:
+    """Pack bits little-endian along the last axis, each row byte-padded with zeros."""
+    return np.packbits(bits, axis=-1, bitorder="little").tobytes()
+
+
+def _unpack_bits(raw: np.ndarray, nbits: int) -> np.ndarray:
     """Unpack little-endian bytes along the last axis to nbits bits each.
 
-    The padding bits of the last byte must be zero, as np.packbits writes
+    The padding bits of the last byte must be zero, as _pack_bits writes
     them, so every value has exactly one encoding.
     """
     bits = np.unpackbits(raw, axis=-1, bitorder="little")
@@ -213,7 +220,7 @@ def unpack_bits(raw: np.ndarray, nbits: int) -> np.ndarray:
 
 
 def _encode_bitvec(v: BitVec) -> bytes:
-    return struct.pack("<I", v.n) + np.packbits(v.to_bits(), bitorder="little").tobytes()
+    return struct.pack("<I", v.n) + _pack_bits(v.to_bits())
 
 
 def _encode_poly(p: BinPoly) -> bytes:
@@ -223,8 +230,7 @@ def _encode_poly(p: BinPoly) -> bytes:
 
 def _encode_matrix(m: MatF2) -> bytes:
     # packed along rows, so each row starts on a byte boundary
-    rows = np.packbits(m.to_bits(), axis=1, bitorder="little")
-    return struct.pack("<II", m.rows, m.cols) + rows.tobytes()
+    return struct.pack("<II", m.rows, m.cols) + _pack_bits(m.to_bits())
 
 
 class _Reader:
@@ -248,12 +254,16 @@ class _Reader:
     def u64(self) -> int:
         return struct.unpack("<Q", self.take(8))[0]
 
+    def bits(self, n: int) -> BitVec:
+        """Read n packed bits."""
+        raw = np.frombuffer(self.take((n + 7) // 8), dtype=np.uint8)
+        return BitVec.from_bits(_unpack_bits(raw, n))
+
     def bitvec(self, n: int) -> BitVec:
         """Read a vector whose stored length must be n."""
         if self.u32() != n:
             raise KeyFormatError(f"vector length differs from the expected {n}")
-        raw = np.frombuffer(self.take((n + 7) // 8), dtype=np.uint8)
-        return BitVec.from_bits(unpack_bits(raw, n))
+        return self.bits(n)
 
     def poly(self) -> BinPoly:
         nbits = self.u32()
@@ -274,11 +284,11 @@ class _Reader:
             raise KeyFormatError(f"matrix shape differs from the expected {rows}x{cols}")
         stride = (cols + 7) // 8
         raw = np.frombuffer(self.take(rows * stride), dtype=np.uint8).reshape(rows, stride)
-        return MatF2.from_bits(unpack_bits(raw, cols))
+        return MatF2.from_bits(_unpack_bits(raw, cols))
 
     def done(self) -> None:
         if self.off != len(self.data):
-            raise KeyFormatError("trailing bytes after the key payload")
+            raise KeyFormatError("trailing bytes after the payload")
 
 
 def _encode_params(params: CodeParams) -> bytes:
@@ -326,7 +336,7 @@ def serialize_key(key: PublicKey | PrivateKey) -> bytes:
         for poly in key.g_q.polys:
             parts.append(_encode_poly(poly))
         parts.append(_encode_matrix(key.s_inv))
-        parts.append(struct.pack(f"<{len(key.perm)}I", *key.perm.sources.tolist()))
+        parts.append(key.perm.sources.astype("<u4").tobytes())
         parts.append(struct.pack("<I", key.mask_basis.l))
         for v in key.mask_basis.vectors:
             parts.append(_encode_bitvec(v))
@@ -343,7 +353,7 @@ def _read_private(r: _Reader, params: CodeParams) -> PrivateKey:
     if g_p.memory != params.p or g_q.memory != params.q:
         raise KeyFormatError("polynomial degrees disagree with the parameters")
     s_inv = r.matrix(params.K, params.K)
-    perm = Permutation(np.array(struct.unpack(f"<{params.N}I", r.take(4 * params.N))))
+    perm = Permutation(np.frombuffer(r.take(4 * params.N), "<u4"))
     l = r.u32()
     # decryption tests 2^l hypotheses, so l must stay within the parameters' bound
     if l > params.l:
@@ -377,6 +387,22 @@ def deserialize_key(data: bytes) -> PublicKey | PrivateKey:
     if isinstance(key, PrivateKey) and rank(key.s_inv) != params.K:
         raise KeyFormatError("inverse scramble matrix is singular")
     return key
+
+
+def serialize_ciphertext(ct: BitVec) -> bytes:
+    return _CT_MAGIC + bytes([_CT_VERSION]) + struct.pack("<Q", ct.n) + _pack_bits(ct.to_bits())
+
+
+def deserialize_ciphertext(data: bytes) -> BitVec:
+    r = _Reader(data)
+    if r.take(4) != _CT_MAGIC:
+        raise KeyFormatError("bad ciphertext magic")
+    version = r.u8()
+    if version != _CT_VERSION:
+        raise KeyFormatError(f"unsupported ciphertext version {version}")
+    ct = r.bits(r.u64())
+    r.done()
+    return ct
 
 
 def save_key(key: PublicKey | PrivateKey, path) -> None:

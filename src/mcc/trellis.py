@@ -118,7 +118,7 @@ def _syndrome_bounds(trellis: Trellis, received: BitVec, after: np.ndarray) -> n
     """
     n, p, segs = trellis.n, trellis.p, trellis.segments
     polys = trellis.polys.polys
-    r = [BinPoly.from_bitvec(deinterleave(received, n, j)) for j in range(n)]
+    r = [BinPoly.from_bitvec(s) for s in deinterleave(received, n)]
     # s_j has degree below segs + p; the spare byte makes the last suffix count 0
     nbytes = (segs + p) // 8 + 1
     syn = b"".join(

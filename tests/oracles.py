@@ -16,7 +16,6 @@ from mcc.bitlinalg import (
 )
 from mcc.convcode import PolyGenMatrix, expand_scalar
 from mcc.cryptopipe import (
-    Ciphertext,
     DecryptionFailure,
     candidate_gate,
     enumerate_candidates,
@@ -240,10 +239,10 @@ def reference_cost_to_go(trellis: Trellis, rsyms: np.ndarray) -> np.ndarray:
     return cost
 
 
-def reference_outcomes(priv: PrivateKey, ct: Ciphertext) -> list[CandidateOutcome]:
+def reference_outcomes(priv: PrivateKey, ct: BitVec) -> list[CandidateOutcome]:
     """Every unmasking hypothesis divided and decoded in full, by mask index."""
     params = priv.params
-    c_tilde = permute(ct.bits, priv.perm, inverse=True)
+    c_tilde = permute(ct, priv.perm, inverse=True)
     trellis = build_trellis(priv.g_p, params.K)
     outcomes = []
     for i, cand in enumerate(enumerate_candidates(c_tilde, priv.mask_basis.vectors)):
@@ -252,7 +251,7 @@ def reference_outcomes(priv: PrivateKey, ct: Ciphertext) -> list[CandidateOutcom
     return outcomes
 
 
-def reference_decrypt(priv: PrivateKey, ct: Ciphertext) -> BitVec:
+def reference_decrypt(priv: PrivateKey, ct: BitVec) -> BitVec:
     """One candidate at a time: unmask, divide, decode, then rank and accept.
 
     Every candidate is divided and decoded in full before ranking by (error

@@ -79,9 +79,8 @@ def test_criterion_01_golden(demo):
 
     # encryption with the pinned error pattern
     ct = encrypt(pub, demo.message, np.random.default_rng(0), error=demo.error_vector)
-    c_tilde = permute(ct.bits, priv.perm, inverse=True)
-    s0 = BinPoly.from_bitvec(deinterleave(c_tilde, 2, 0))
-    s1 = BinPoly.from_bitvec(deinterleave(c_tilde, 2, 1))
+    c_tilde = permute(ct, priv.perm, inverse=True)
+    s0, s1 = (BinPoly.from_bitvec(s) for s in deinterleave(c_tilde, 2))
     ones = BinPoly.from_exponents(range(15))
     assert s0 == BinPoly.from_exponents([7, 10, 14])
     assert s1 == BinPoly.from_exponents([0, 1, 2, 3, 4, 5, 6, 9, 10, 11, 12, 14])

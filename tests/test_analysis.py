@@ -15,7 +15,7 @@ from mcc.analysis import (
     window_failure,
 )
 from mcc.bitlinalg import MatF2
-from mcc.convcode import PolyGenMatrix
+from mcc.convcode import MAX_N, PolyGenMatrix
 from mcc.gf2poly import BinPoly, poly_divmod
 from mcc.presets import load_preset
 from oracles import batch_quotient_weights, monte_carlo_alpha, unit_vector_alpha
@@ -28,11 +28,10 @@ def exact_isd_log2(n, k, t):
 
 
 def exact_binomial_tail(p: float, n: int, t: int) -> float:
-    pf = Fraction(p)
-    total = Fraction(0)
-    for i in range(t + 1, n + 1):
-        total += math.comb(n, i) * pf**i * (1 - pf) ** (n - i)
-    return float(total)
+    """The tail at p = a/b, summed in integers over the common denominator b^n."""
+    a, b = Fraction(p).as_integer_ratio()
+    total = sum(math.comb(n, i) * a**i * (b - a) ** (n - i) for i in range(t + 1, n + 1))
+    return float(Fraction(total, b**n))
 
 
 def test_batch_divider_matches_poly_divmod():
@@ -82,6 +81,9 @@ def test_estimate_alpha_validation():
         estimate_alpha(gq, 1.5, 100)
     with pytest.raises(ValueError):
         estimate_alpha(gq, 0.1, 4)
+    # the work grows with the length, which no key can exceed
+    with pytest.raises(ValueError, match="at most"):
+        estimate_alpha(gq, 0.1, MAX_N + 1)
 
 
 def test_estimate_alpha_matches_brute_force():
@@ -185,12 +187,17 @@ def test_window_failure_reference_point():
 
 def test_window_failure_edge_cases():
     assert window_failure(0.0, 44, 14, 228) == (0.0, 1.0)
+    assert window_failure(1.0, 44, 14, 228) == (1.0, 0.0)
     p_window, _ = window_failure(0.3, 10, 9, 5)
     assert p_window == pytest.approx(0.3**10, rel=1e-12)
+    assert window_failure(0.1, MAX_N, 0, 1)[0] == pytest.approx(1.0)
+    with pytest.raises(ValueError, match="at most"):
+        window_failure(0.1, MAX_N + 1, 10, 1)
 
 
 def test_window_failure_matches_exact_oracle():
-    for p, w, t in ((0.1175, 44, 14), (0.07, 30, 8), (0.25, 20, 3)):
+    # C(1100, i) exceeds the float range
+    for p, w, t in ((0.1175, 44, 14), (0.07, 30, 8), (0.25, 20, 3), (0.1175, 1100, 150)):
         got, _ = window_failure(p, w, t, 1)
         assert got == pytest.approx(exact_binomial_tail(p, w, t), rel=1e-12)
 

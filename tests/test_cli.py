@@ -140,12 +140,23 @@ def test_analyze_failure():
     assert code == 0
     assert "p_window = 8.99" in out
     assert "p_success_all = 0.9796" in out
+    # C(1100, i) exceeds the float range; the exact tail is 0.0251680952943
+    code, out, err = run_cli(
+        "analyze", "failure",
+        "--p-eff", "0.1175", "--window-bits", "1100", "--t-corr", "150", "--windows", "10",
+    )
+    assert code == 0, err
+    assert "p_window = 0.0251681" in out
 
 
 def test_analyze_alpha_runs():
     code, out, _ = run_cli("analyze", "alpha", "--params", "desk")
     assert code == 0
     assert "alpha_total = -1.28" in out
+    # criterion 06's quarter-rate stream length is within the cap
+    code, out, err = run_cli("analyze", "alpha", "--params", "desk", "--stream-len", "12672")
+    assert code == 0, err
+    assert "stream_len = 12672" in out
 
 
 def test_analyze_keyrand(demo_files, tmp_path):
@@ -158,6 +169,35 @@ def test_analyze_keyrand(demo_files, tmp_path):
     fields = [f.name for f in dataclasses.fields(KeyRandomnessReport)]
     assert list(json.loads(doc.read_text())) == fields
     assert [line.split(" = ")[0] for line in out.splitlines()] == fields
+
+
+@pytest.mark.parametrize(
+    "params, trials, seed, counts",
+    [("desk", 3, 42, (3, 0, 0, "1.0000")), ("demo", 40, 1, (28, 0, 12, "0.7000"))],
+)
+def test_simulate_report_is_pinned_and_seeds_are_drawn_singly(
+    monkeypatch, params, trials, seed, counts
+):
+    spawned = []
+
+    class SpySeedSequence(np.random.SeedSequence):
+        def spawn(self, n_children):
+            spawned.append(n_children)
+            return super().spawn(n_children)
+
+    monkeypatch.setattr(np.random, "SeedSequence", SpySeedSequence)
+    code, out, err = run_cli(
+        "simulate", "--params", params, "--trials", str(trials), "--seed", str(seed)
+    )
+    assert code == 0, err
+    # the reports of the commit that spawned all trials + 1 children at once
+    successes, detected, wrong, rate = counts
+    assert out == (
+        f"params = {params}\nseed = {seed}\ntrials = {trials}\nsuccesses = {successes}\n"
+        f"failures_detected = {detected}\nwrong_plaintext = {wrong}\nsuccess_rate = {rate}\n"
+    )
+    # one child for the key and one per trial, none made ahead
+    assert spawned == [1] * (trials + 1)
 
 
 def test_simulate_deterministic(tmp_path):
@@ -278,7 +318,7 @@ def test_exit_code_malformed_inputs(tmp_path, demo):
     )
     assert code == 2
     # a well-formed ciphertext file whose length is not the key's N = 30
-    from mcc.cryptopipe import Ciphertext, serialize_ciphertext
+    from mcc.keyring import serialize_ciphertext
 
     pub, priv = tmp_path / "d.pub", tmp_path / "d.priv"
     code, _, err = run_cli(
@@ -287,7 +327,7 @@ def test_exit_code_malformed_inputs(tmp_path, demo):
     )
     assert code == 0, err
     short_ct = tmp_path / "short.ct"
-    short_ct.write_bytes(serialize_ciphertext(Ciphertext(BitVec.zeros(7))))
+    short_ct.write_bytes(serialize_ciphertext(BitVec.zeros(7)))
     code, _, err = run_cli(
         "decrypt", "--priv", str(priv), "--pub", str(pub), "--in", str(short_ct)
     )
@@ -320,6 +360,10 @@ def test_exit_code_malformed_inputs(tmp_path, demo):
         ("analyze", "failure", "--p-eff", "2", "--window-bits", "4", "--t-corr", "1",
          "--windows", "1"),
         ("analyze", "alpha", "--params", "demo", "--stream-len", "3"),
+        # beyond MAX_N: refused before any work sized by the value
+        ("analyze", "alpha", "--params", "desk", "--stream-len", "32769"),
+        ("analyze", "failure", "--p-eff", "0.1175", "--window-bits", "32769", "--t-corr",
+         "150", "--windows", "10"),
         ("simulate", "--params", "demo", "--trials", "0"),
     ):
         code, _, err = run_cli(*argv)
@@ -372,12 +416,10 @@ def test_exit_code_decrypt_failure(tmp_path):
         "keygen", "--params", "desk", "--out-pub", str(pub), "--out-priv", str(priv), "--seed", "8"
     )[0] == 0
     # a random word of the right length is essentially never decryptable
-    from mcc.cryptopipe import Ciphertext, serialize_ciphertext
+    from mcc.keyring import serialize_ciphertext
 
     ct = tmp_path / "junk.ct"
-    ct.write_bytes(
-        serialize_ciphertext(Ciphertext(BitVec.random(656, np.random.default_rng(2))))
-    )
+    ct.write_bytes(serialize_ciphertext(BitVec.random(656, np.random.default_rng(2))))
     code, _, err = run_cli("decrypt", "--priv", str(priv), "--pub", str(pub), "--in", str(ct))
     assert code == 3
     assert "retransmission" in err

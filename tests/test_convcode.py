@@ -74,16 +74,15 @@ def test_interleave_rejects_ragged():
 
 def test_deinterleave_reference_streams():
     ct = BitVec.from01(C_TILDE)
-    assert list(deinterleave(ct, 2, 0).indices()) == [7, 10, 14]
-    assert list(deinterleave(ct, 2, 1).indices()) == [0, 1, 2, 3, 4, 5, 6, 9, 10, 11, 12, 14]
+    s0, s1 = deinterleave(ct, 2)
+    assert list(s0.indices()) == [7, 10, 14]
+    assert list(s1.indices()) == [0, 1, 2, 3, 4, 5, 6, 9, 10, 11, 12, 14]
 
 
 def test_deinterleave_bad_args():
     v = BitVec.zeros(10)
     with pytest.raises(ValueError):
-        deinterleave(v, 3, 0)
-    with pytest.raises(ValueError):
-        deinterleave(v, 2, 2)
+        deinterleave(v, 3)
 
 
 def test_interleave_deinterleave_round_trip():
@@ -92,8 +91,7 @@ def test_interleave_deinterleave_round_trip():
         length = int(rng.integers(1, 4097))
         streams = [BitVec.random(length, rng) for _ in range(n)]
         v = interleave(streams)
-        for i in range(n):
-            assert deinterleave(v, n, i) == streams[i]
+        assert deinterleave(v, n) == streams
 
 
 def test_expand_scalar_low_memory_matrix():
@@ -161,10 +159,8 @@ def test_high_memory_composition_law(gp_octal, gq_lists, k):
         full = encode_streams(m, gpq, mem_pq)
         low = encode_streams(m, gp, gp.memory)
         length = k + mem_pq
-        for j in range(gp.n):
-            low_j = BinPoly.from_bitvec(deinterleave(low, gp.n, j))
-            lifted = poly_mul(low_j, gq.polys[j]).to_bitvec(length)
-            assert deinterleave(full, gp.n, j) == lifted
+        for low_j, full_j, q_j in zip(deinterleave(low, gp.n), deinterleave(full, gp.n), gq.polys):
+            assert full_j == poly_mul(BinPoly.from_bitvec(low_j), q_j).to_bitvec(length)
 
 
 def test_code_params_invariants():

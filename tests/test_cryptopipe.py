@@ -6,19 +6,16 @@ import pytest
 from mcc.bitlinalg import BitVec, mat_vec_mul, permute
 from mcc.convcode import CodeParams, PolyGenMatrix, deinterleave, encode_streams, interleave
 from mcc.cryptopipe import (
-    Ciphertext,
     DecryptionFailure,
     _divide_hypotheses,
     candidate_gate,
     decrypt,
-    deserialize_ciphertext,
     encrypt,
     enumerate_candidates,
     invert_highmem,
-    serialize_ciphertext,
 )
 from mcc.gf2poly import BinPoly, poly_divmod
-from mcc.keyring import KeyFormatError
+from mcc.keyring import KeyFormatError, deserialize_ciphertext, serialize_ciphertext
 from mcc.presets import load_preset
 from oracles import reference_decrypt, reference_outcomes, span_contains, span_element_for_index
 
@@ -30,10 +27,9 @@ def test_encrypt_reference_chain(demo, demo_keys):
     pub, priv = demo_keys
     ct = encrypt(pub, demo.message, np.random.default_rng(0), error=demo.error_vector)
     clean = encrypt(pub, demo.message, np.random.default_rng(0), error=BitVec.zeros(30))
-    assert (ct.bits ^ clean.bits) == demo.error_vector
-    c_tilde = permute(ct.bits, priv.perm, inverse=True)
-    assert deinterleave(c_tilde, 2, 0) == STREAM0_POLY.to_bitvec(15)
-    assert deinterleave(c_tilde, 2, 1) == STREAM1_POLY.to_bitvec(15)
+    assert (ct ^ clean) == demo.error_vector
+    c_tilde = permute(ct, priv.perm, inverse=True)
+    assert deinterleave(c_tilde, 2) == [STREAM0_POLY.to_bitvec(15), STREAM1_POLY.to_bitvec(15)]
 
 
 def test_encrypt_zero_noise_is_pure_encoding(desk, desk_keys):
@@ -43,21 +39,21 @@ def test_encrypt_zero_noise_is_pure_encoding(desk, desk_keys):
     ct = encrypt(pub, m, rng, error=BitVec.zeros(pub.params.N))
     from mcc.gf2poly import crc_append
 
-    assert ct.bits == mat_vec_mul(crc_append(m, pub.params.r_poly), pub.g)
+    assert ct == mat_vec_mul(crc_append(m, pub.params.r_poly), pub.g)
 
 
 def test_encrypt_error_weight_statistics(desk_keys):
     pub, _ = desk_keys
     rng = np.random.default_rng(2)
     m = BitVec.random(pub.params.plaintext_len, rng)
-    clean = encrypt(pub, m, rng, error=BitVec.zeros(pub.params.N)).bits
+    clean = encrypt(pub, m, rng, error=BitVec.zeros(pub.params.N))
     e = float(pub.params.e)
     n = pub.params.N
     total = 0
     trials = 1000
     for _ in range(trials):
         ct = encrypt(pub, m, rng)
-        total += (ct.bits ^ clean).weight()
+        total += (ct ^ clean).weight()
     mean = total / trials
     sigma_mean = (n * e * (1 - e)) ** 0.5 / trials**0.5
     assert abs(mean - e * n) < 3 * sigma_mean
@@ -95,13 +91,14 @@ def test_enumerate_candidates_empty_basis(demo_keys):
 def test_demo_candidates_cover_reference_streams(demo, demo_keys):
     pub, priv = demo_keys
     ct = encrypt(pub, demo.message, np.random.default_rng(0), error=demo.error_vector)
-    c_tilde = permute(ct.bits, priv.perm, inverse=True)
+    c_tilde = permute(ct, priv.perm, inverse=True)
     ones15 = BinPoly.from_exponents(range(15))
     seen0 = set()
     seen1 = set()
     for cand in enumerate_candidates(c_tilde, priv.mask_basis.vectors):
-        seen0.add(deinterleave(cand, 2, 0).to_int())
-        seen1.add(deinterleave(cand, 2, 1).to_int())
+        s0, s1 = deinterleave(cand, 2)
+        seen0.add(s0.to_int())
+        seen1.add(s1.to_int())
     assert seen0 == {STREAM0_POLY.value, (STREAM0_POLY + ones15).value}
     assert seen1 == {STREAM1_POLY.value, (STREAM1_POLY + ones15).value}
 
@@ -147,7 +144,7 @@ def test_superposition_of_code_and_error_quotients(demo, demo_keys):
         m = BitVec.random(6, rng)
         error = BitVec.bernoulli(30, 0.1, rng)
         ct = encrypt(pub, m, rng, error=error)
-        c_tilde = permute(ct.bits, priv.perm, inverse=True)
+        c_tilde = permute(ct, priv.perm, inverse=True)
         m_s = mat_vec_mul(m, demo.material.s)
         true_mask = mat_vec_mul(m_s, demo.material.mask_matrix)
         cand = c_tilde ^ true_mask
@@ -235,7 +232,7 @@ def test_decrypt_matches_reference_pipeline(demo, demo_keys, desk_keys):
     heavy = BitVec.from_indices(params.N, rng.choice(params.N, 24, replace=False))
     m = BitVec.random(params.plaintext_len, rng)
     cases.append((desk_keys, encrypt(desk_keys[0], m, rng, error=heavy)))
-    cases.append((desk_keys, Ciphertext(BitVec.random(params.N, rng))))
+    cases.append((desk_keys, BitVec.random(params.N, rng)))
     # channel noise plus 12 or 24 extra errors: near and beyond the gate,
     # where decodes are pruned at the gate bound and some fail
     for extra in (12, 24):
@@ -243,7 +240,7 @@ def test_decrypt_matches_reference_pipeline(demo, demo_keys, desk_keys):
             m = BitVec.random(params.plaintext_len, rng)
             flips = BitVec.from_indices(params.N, rng.choice(params.N, extra, replace=False))
             ct = encrypt(desk_keys[0], m, rng)
-            cases.append((desk_keys, Ciphertext(ct.bits ^ flips)))
+            cases.append((desk_keys, ct ^ flips))
     kinds = set()
     for (pub, priv), ct in cases:
         kinds.add(_assert_matches_reference(priv, pub, ct))
@@ -256,14 +253,14 @@ def test_decrypt_determinism(desk_keys):
     m = BitVec.random(pub.params.plaintext_len, rng)
     ct1 = encrypt(pub, m, np.random.default_rng(99))
     ct2 = encrypt(pub, m, np.random.default_rng(99))
-    assert ct1.bits == ct2.bits
+    assert ct1 == ct2
     assert decrypt(priv, pub, ct1) == decrypt(priv, pub, ct2)
 
 
 def test_decrypt_failure_reports_all_weights(desk_keys):
     pub, priv = desk_keys
     rng = np.random.default_rng(23)
-    garbage = Ciphertext(BitVec.random(pub.params.N, rng))
+    garbage = BitVec.random(pub.params.N, rng)
     with pytest.raises(DecryptionFailure) as err:
         decrypt(priv, pub, garbage)
     weights = err.value.candidate_weights
@@ -294,8 +291,8 @@ def test_divide_hypotheses_matches_per_candidate_division(keys, request):
     pub, priv = request.getfixturevalue(keys)
     rng = np.random.default_rng(41)
     for ct in (encrypt(pub, BitVec.random(pub.params.plaintext_len, rng), rng),
-               Ciphertext(BitVec.random(pub.params.N, rng))):
-        c_tilde = permute(ct.bits, priv.perm, inverse=True)
+               BitVec.random(pub.params.N, rng)):
+        c_tilde = permute(ct, priv.perm, inverse=True)
         quotients, rem_weights = _divide_hypotheses(c_tilde, priv)
         cands = list(enumerate_candidates(c_tilde, priv.mask_basis.vectors))
         assert len(quotients) == len(rem_weights) == len(cands) == 1 << priv.params.l
@@ -366,7 +363,7 @@ def test_ciphertext_serialization_round_trip(demo_keys):
     rng = np.random.default_rng(31)
     ct = encrypt(pub, BitVec.random(6, rng), rng)
     blob = serialize_ciphertext(ct)
-    assert deserialize_ciphertext(blob).bits == ct.bits
+    assert deserialize_ciphertext(blob) == ct
     with pytest.raises(KeyFormatError):
         deserialize_ciphertext(blob[:-1])
     with pytest.raises(KeyFormatError):
