@@ -9,6 +9,7 @@ raw counts overflow fixed-width floats at the parameter scales of interest.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,17 +105,17 @@ def gilbert_relative_distance(rho: float) -> float:
 def isd_log2(N: int, K: int, t: int) -> float:
     """log2 of C(N, K) / (0.29 * C(N - t, K)), evaluated in the log domain.
 
-    The binomial ratio telescopes to a product of t factors, so no
-    large-integer arithmetic is needed at any parameter scale.
+    The binomial ratio is N! (N - K - t)! / ((N - t)! (N - K)!), so four
+    lgamma values give it in constant time at any parameter scale.
     """
     if not 0 < K < N:
         raise ValueError("need 0 < K < N")
     if not 0 <= t <= N - K:
         raise ValueError("need 0 <= t <= N - K")
-    total = -_LOG2_029
-    for i in range(t):
-        total += math.log2((N - i) / (N - K - i))
-    return total
+    log_ratio = (math.lgamma(N + 1) - math.lgamma(N - t + 1)) - (
+        math.lgamma(N - K + 1) - math.lgamma(N - K - t + 1)
+    )
+    return log_ratio / math.log(2) - _LOG2_029
 
 
 def qisd_log2(N: int, K: int, t: int) -> float:
@@ -152,7 +153,8 @@ def window_failure(
             for i in range(t_corr + 1, w + 1)
         )
         p_window = min(1.0, math.fsum(map(math.exp, log_terms)))
-    return p_window, (1.0 - p_window) ** windows
+    # a count beyond the float range leaves the power 0.0 or 1.0 all the same
+    return p_window, (1.0 - p_window) ** min(windows, sys.float_info.max)
 
 
 def key_randomness_report(g: MatF2) -> KeyRandomnessReport:

@@ -6,6 +6,11 @@ zero bits up to a word boundary, so XOR and popcount kernels operate on
 whole uint64 words. All values are immutable after construction and safe to
 share across threads.
 
+The byte form of a bit string, which files and integers use, is owned here:
+bit i in byte i // 8 at bit position i % 8, a matrix row cut to
+(cols + 7) // 8 bytes, and the padding bits of the last byte zero, so every
+value has exactly one byte form.
+
 Elimination and multiplication use Four Russians tables (Arlazarov et al.;
 M4RI's elimination, Albrecht, Bard & Hart, ACM TOMS 2010): up to 8 pivot
 rows or rows of the right factor are combined into a table of all 2^8 XOR
@@ -35,20 +40,30 @@ def _num_words(nbits: int) -> int:
     return (nbits + _WORD - 1) // _WORD
 
 
+def _to_bytes(words: np.ndarray, nbits: int) -> np.ndarray:
+    """Byte form of packed words along the last axis: a view, (nbits + 7) // 8 bytes each."""
+    return words.astype("<u8", copy=False).view(np.uint8)[..., : (nbits + 7) // 8]
+
+
+def _from_bytes(by: np.ndarray, nbits: int) -> np.ndarray:
+    """Packed words of a byte form along the last axis; its padding bits must be zero."""
+    if by.shape[-1] != (nbits + 7) // 8:
+        raise ValueError(f"expected {(nbits + 7) // 8} bytes for {nbits} bits")
+    if nbits % 8 and (by[..., -1] >> (nbits % 8)).any():
+        raise ValueError("nonzero padding bits")
+    words = np.zeros(by.shape[:-1] + (_num_words(nbits),), dtype="<u8")
+    words.view(np.uint8)[..., : by.shape[-1]] = by
+    return words
+
+
 def _pack(bits: np.ndarray) -> np.ndarray:
     """Pack a 0/1 array along its last axis into little-endian uint64 words."""
-    bits = np.ascontiguousarray(bits, dtype=np.uint8)
-    nbits = bits.shape[-1]
-    by = np.packbits(bits, axis=-1, bitorder="little")
-    pad = _num_words(nbits) * 8 - by.shape[-1]
-    if pad:
-        by = np.concatenate([by, np.zeros(bits.shape[:-1] + (pad,), dtype=np.uint8)], axis=-1)
-    return np.ascontiguousarray(by).view(np.uint64)
+    bits = np.asarray(bits, dtype=np.uint8)
+    return _from_bytes(np.packbits(bits, axis=-1, bitorder="little"), bits.shape[-1])
 
 
 def _unpack(words: np.ndarray, nbits: int) -> np.ndarray:
-    by = np.ascontiguousarray(words).view(np.uint8)
-    return np.unpackbits(by, axis=-1, bitorder="little")[..., :nbits]
+    return np.unpackbits(_to_bytes(words, nbits), axis=-1, bitorder="little")[..., :nbits]
 
 
 def _mask_tail(words: np.ndarray, nbits: int) -> None:
@@ -99,12 +114,16 @@ class BitVec:
         return cls.from_bits(bits)
 
     @classmethod
+    def from_bytes(cls, n: int, data) -> "BitVec":
+        """Inverse of to_bytes: exactly (n + 7) // 8 bytes, padding bits zero."""
+        return cls(n, _from_bytes(np.frombuffer(data, dtype=np.uint8), n))
+
+    @classmethod
     def from_int(cls, n: int, value: int) -> "BitVec":
         """Bit i of ``value`` becomes element i; bits at or above n must be zero."""
         if value < 0 or value.bit_length() > n:
             raise ValueError("integer does not fit the requested length")
-        raw = value.to_bytes(_num_words(n) * 8, "little")
-        return cls(n, np.frombuffer(raw, dtype=np.uint64))
+        return cls.from_bytes(n, value.to_bytes((n + 7) // 8, "little"))
 
     @classmethod
     def random(cls, n: int, rng: np.random.Generator) -> "BitVec":
@@ -117,8 +136,12 @@ class BitVec:
     def to_bits(self) -> np.ndarray:
         return _unpack(self.words, self.n)
 
+    def to_bytes(self) -> bytes:
+        """Bit i in byte i // 8 at bit i % 8; the padding bits are zero."""
+        return _to_bytes(self.words, self.n).tobytes()
+
     def to_int(self) -> int:
-        return int.from_bytes(self.words.tobytes(), "little")
+        return int.from_bytes(self.to_bytes(), "little")
 
     def to01(self) -> str:
         return "".join("1" if b else "0" for b in self.to_bits())
@@ -207,6 +230,15 @@ class MatF2:
         return cls(len(rows), n, np.stack([r.words for r in rows]))
 
     @classmethod
+    def from_row_bytes(cls, rows: int, cols: int, data) -> "MatF2":
+        """Inverse of row_bytes: rows * ((cols + 7) // 8) bytes, padding bits zero."""
+        stride = (cols + 7) // 8
+        by = np.frombuffer(data, dtype=np.uint8)
+        if by.size != rows * stride:
+            raise ValueError(f"expected {rows} rows of {stride} bytes")
+        return cls(rows, cols, _from_bytes(by.reshape(rows, stride), cols))
+
+    @classmethod
     def from_bitstrings(cls, strings: Iterable[str]) -> "MatF2":
         return cls.from_bits([[int(c) for c in s] for s in strings])
 
@@ -216,6 +248,10 @@ class MatF2:
 
     def row(self, i: int) -> BitVec:
         return BitVec(self.cols, self.data[i])
+
+    def row_bytes(self) -> bytes:
+        """The rows' byte forms (see BitVec.to_bytes), concatenated."""
+        return _to_bytes(self.data, self.cols).tobytes()
 
     def to_bits(self) -> np.ndarray:
         if self.rows == 0:

@@ -56,15 +56,14 @@ def _read_plaintext(path: str, nbits: int, fmt: str) -> BitVec:
         raise _InputError(f"raw format needs a byte-aligned length, not {nbits} bits")
     if len(raw) * 8 != nbits:
         raise _InputError(f"{path}: expected {nbits // 8} bytes, found {len(raw)}")
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-    return BitVec.from_bits(bits)
+    return BitVec.from_bytes(nbits, raw)
 
 
 def _write_plaintext(path: str | None, v: BitVec, fmt: str) -> None:
     if fmt == "raw":
         if v.n % 8:
             raise _InputError("raw format needs a byte-aligned plaintext")
-        data = np.packbits(v.to_bits(), bitorder="little").tobytes()
+        data = v.to_bytes()
         if path is None:
             sys.stdout.buffer.write(data)
             return

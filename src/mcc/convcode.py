@@ -21,7 +21,8 @@ MAX_MASK_RANK = 20
 MAX_TRELLIS_MEMORY = 16
 # decoders pack one segment's n output bits into a uint8 symbol
 MAX_STREAMS = 8
-# keygen builds dense K x N bit matrices, one byte per bit: at most 256 MiB each
+# keygen draws S as K x K bits, one byte per bit, and keyrand unpacks the K x N
+# public matrix: at most 256 MiB each
 MAX_K = 1 << 13
 MAX_N = 1 << 15
 # decryption holds 2^l quotients of n * (K + p) bits each: at most 128 MiB
@@ -143,16 +144,11 @@ def expand_scalar(polys: PolyGenMatrix, K: int, memory: int) -> MatF2:
         raise ValueError("memory smaller than an actual polynomial degree")
     n = polys.n
     ncols = n * (K + memory)
-    row0 = np.zeros(ncols, dtype=np.uint8)
-    for j, pj in enumerate(polys.polys):
-        for i in pj.exponents():
-            row0[n * i + j] = 1
-    bits = np.zeros((K, ncols), dtype=np.uint8)
-    width = n * (memory + 1)
-    for t in range(K):
-        hi = min(n * t + width, ncols)
-        bits[t, n * t : hi] = row0[: hi - n * t]
-    return MatF2.from_bits(bits)
+    # row t ends before bit n * (t + memory + 1), inside the ncols columns
+    row0 = sum(1 << (n * i + j) for j, pj in enumerate(polys.polys) for i in pj.exponents())
+    stride = (ncols + 7) // 8
+    rows = b"".join((row0 << (n * t)).to_bytes(stride, "little") for t in range(K))
+    return MatF2.from_row_bytes(K, ncols, rows)
 
 
 def encode_streams(m: BitVec, polys: PolyGenMatrix, memory: int) -> BitVec:

@@ -147,17 +147,11 @@ def crc_append(m: BitVec, r_poly: BinPoly) -> BitVec:
 
 
 def crc_verify(m_r: BitVec, r_poly: BinPoly) -> bool:
-    """True iff the CRC field matches the message part of m_r."""
+    """True iff m_r is what crc_append makes of its message part."""
     if not r_poly.value:
         raise ValueError("CRC polynomial must be nonzero")
-    r = r_poly.degree
-    if m_r.n < r:
+    k = m_r.n - r_poly.degree
+    if k < 0:
         raise ValueError("word shorter than the CRC")
-    if r == 0:
-        return True
-    word = m_r.to_int()
-    msg = word & ((1 << (m_r.n - r)) - 1)
-    tail = word >> (m_r.n - r)
-    check = BinPoly((msg << r) ^ tail)
-    _, rem = poly_divmod(check, r_poly)
-    return not rem.value
+    msg = BitVec.from_int(k, m_r.to_int() & ((1 << k) - 1))
+    return crc_append(msg, r_poly) == m_r

@@ -202,25 +202,8 @@ def keygen(
 
 # --- binary serialization -------------------------------------------------
 
-def _pack_bits(bits: np.ndarray) -> bytes:
-    """Pack bits little-endian along the last axis, each row byte-padded with zeros."""
-    return np.packbits(bits, axis=-1, bitorder="little").tobytes()
-
-
-def _unpack_bits(raw: np.ndarray, nbits: int) -> np.ndarray:
-    """Unpack little-endian bytes along the last axis to nbits bits each.
-
-    The padding bits of the last byte must be zero, as _pack_bits writes
-    them, so every value has exactly one encoding.
-    """
-    bits = np.unpackbits(raw, axis=-1, bitorder="little")
-    if bits[..., nbits:].any():
-        raise KeyFormatError("nonzero padding bits")
-    return bits[..., :nbits]
-
-
 def _encode_bitvec(v: BitVec) -> bytes:
-    return struct.pack("<I", v.n) + _pack_bits(v.to_bits())
+    return struct.pack("<I", v.n) + v.to_bytes()
 
 
 def _encode_poly(p: BinPoly) -> bytes:
@@ -229,16 +212,22 @@ def _encode_poly(p: BinPoly) -> bytes:
 
 
 def _encode_matrix(m: MatF2) -> bytes:
-    # packed along rows, so each row starts on a byte boundary
-    return struct.pack("<II", m.rows, m.cols) + _pack_bits(m.to_bits())
+    return struct.pack("<II", m.rows, m.cols) + m.row_bytes()
 
 
 class _Reader:
+    """Reads a file's fields in order.
+
+    A byte form with a set padding bit raises ValueError, which the callers
+    report as KeyFormatError.
+    """
+
     def __init__(self, data: bytes):
-        self.data = data
+        # slices of a memoryview share the file's bytes instead of copying them
+        self.data = memoryview(data)
         self.off = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.off + n > len(self.data):
             raise KeyFormatError("truncated file")
         out = self.data[self.off : self.off + n]
@@ -255,9 +244,8 @@ class _Reader:
         return struct.unpack("<Q", self.take(8))[0]
 
     def bits(self, n: int) -> BitVec:
-        """Read n packed bits."""
-        raw = np.frombuffer(self.take((n + 7) // 8), dtype=np.uint8)
-        return BitVec.from_bits(_unpack_bits(raw, n))
+        """Read the byte form of n bits."""
+        return BitVec.from_bytes(n, self.take((n + 7) // 8))
 
     def bitvec(self, n: int) -> BitVec:
         """Read a vector whose stored length must be n."""
@@ -282,9 +270,7 @@ class _Reader:
         """
         if (self.u32(), self.u32()) != (rows, cols):
             raise KeyFormatError(f"matrix shape differs from the expected {rows}x{cols}")
-        stride = (cols + 7) // 8
-        raw = np.frombuffer(self.take(rows * stride), dtype=np.uint8).reshape(rows, stride)
-        return MatF2.from_bits(_unpack_bits(raw, cols))
+        return MatF2.from_row_bytes(rows, cols, self.take(rows * ((cols + 7) // 8)))
 
     def done(self) -> None:
         if self.off != len(self.data):
@@ -327,7 +313,7 @@ def _decode_params(r: _Reader) -> CodeParams:
 
 def serialize_key(key: PublicKey | PrivateKey) -> bytes:
     if isinstance(key, PublicKey):
-        body = _encode_params(key.params) + _encode_matrix(key.g)
+        parts = [_encode_params(key.params), _encode_matrix(key.g)]
         kind = _KIND_PUBLIC
     elif isinstance(key, PrivateKey):
         parts = [_encode_params(key.params)]
@@ -340,11 +326,10 @@ def serialize_key(key: PublicKey | PrivateKey) -> bytes:
         parts.append(struct.pack("<I", key.mask_basis.l))
         for v in key.mask_basis.vectors:
             parts.append(_encode_bitvec(v))
-        body = b"".join(parts)
         kind = _KIND_PRIVATE
     else:
         raise TypeError("not a key")
-    return _MAGIC + bytes([_VERSION, kind]) + body
+    return b"".join([_MAGIC, bytes([_VERSION, kind]), *parts])
 
 
 def _read_private(r: _Reader, params: CodeParams) -> PrivateKey:
@@ -390,7 +375,7 @@ def deserialize_key(data: bytes) -> PublicKey | PrivateKey:
 
 
 def serialize_ciphertext(ct: BitVec) -> bytes:
-    return _CT_MAGIC + bytes([_CT_VERSION]) + struct.pack("<Q", ct.n) + _pack_bits(ct.to_bits())
+    return _CT_MAGIC + bytes([_CT_VERSION]) + struct.pack("<Q", ct.n) + ct.to_bytes()
 
 
 def deserialize_ciphertext(data: bytes) -> BitVec:
@@ -400,7 +385,10 @@ def deserialize_ciphertext(data: bytes) -> BitVec:
     version = r.u8()
     if version != _CT_VERSION:
         raise KeyFormatError(f"unsupported ciphertext version {version}")
-    ct = r.bits(r.u64())
+    try:
+        ct = r.bits(r.u64())
+    except ValueError as exc:
+        raise KeyFormatError(str(exc)) from exc
     r.done()
     return ct
 

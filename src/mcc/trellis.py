@@ -1,4 +1,4 @@
-"""Trellis construction, hard-decision Viterbi decoding and free distance.
+"""Trellis construction and hard-decision Viterbi decoding.
 
 The trellis state is the last p input bits (most recent bit in the low
 position), so state s on input b moves to ((s << 1) | b) & (2^p - 1) and the
@@ -20,7 +20,6 @@ A* cost-to-go, and over the whole word they bound it before any ACS step.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +29,6 @@ from .convcode import MAX_STREAMS, MAX_TRELLIS_MEMORY, PolyGenMatrix, deinterlea
 from .gf2poly import BinPoly, poly_mul
 
 _INF = np.int32(1 << 29)
-MAX_SEARCH_MEMORY = 12
-_FREE_DISTANCE_BUDGET = 40
 # segments between two comparisons of a decode's lower bound with its bound
 _BOUND_INTERVAL = 16
 
@@ -204,45 +201,3 @@ def viterbi_decode(
     weight = (received ^ encode_streams(info, trellis.polys, trellis.p)).weight()
     assert weight == int(pm[0]), "path metric disagrees with the survivor path"
     return DecodeResult(info, weight)
-
-
-def free_distance(polys: PolyGenMatrix) -> int:
-    """Minimum weight over detours that leave and rejoin the zero state.
-
-    Dijkstra over the state graph with the segment output weight as the edge
-    cost; nonnegative costs make the first completed return optimal.
-    """
-    p = polys.memory
-    if p > MAX_SEARCH_MEMORY:
-        raise ValueError(f"memory {p} exceeds the {MAX_SEARCH_MEMORY}-bit search cap")
-    out = _window_symbols(polys)
-    wt = _POP8[out]
-    if p == 0:
-        return int(wt[1])
-    mask = (1 << p) - 1
-    start = 1  # state after the diverging 1-input from state 0
-    dist = {start: int(wt[1])}
-    heap = [(int(wt[1]), start)]
-    done = set()
-    best = None
-    while heap:
-        d, s = heapq.heappop(heap)
-        if s in done:
-            continue
-        done.add(s)
-        if best is not None and d >= best:
-            break
-        for b in (0, 1):
-            w = (s << 1) | b
-            nxt = w & mask
-            nd = d + int(wt[w])
-            if nxt == 0:
-                if best is None or nd < best:
-                    best = nd
-                continue
-            if nd < dist.get(nxt, 1 << 30):
-                dist[nxt] = nd
-                heapq.heappush(heap, (nd, nxt))
-    if best is None or best > _FREE_DISTANCE_BUDGET:
-        raise RuntimeError("free distance search exceeded its weight budget")
-    return best

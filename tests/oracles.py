@@ -1,5 +1,6 @@
 """Slow reference implementations that tests compare the package against."""
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,18 @@ from mcc.cryptopipe import (
 )
 from mcc.gf2poly import BinPoly, crc_verify, poly_divmod
 from mcc.keyring import MaskBasis, PrivateKey, PublicKey
-from mcc.trellis import _INF, DecodeResult, Trellis, _window_symbols, build_trellis, viterbi_decode
+from mcc.trellis import (
+    _INF,
+    _POP8,
+    DecodeResult,
+    Trellis,
+    _window_symbols,
+    build_trellis,
+    viterbi_decode,
+)
+
+MAX_SEARCH_MEMORY = 12
+_FREE_DISTANCE_BUDGET = 40
 
 
 @dataclass(frozen=True)
@@ -122,6 +134,22 @@ def recover_masked_sum(pub: PublicKey, priv: PrivateKey) -> MatF2:
     """S^-1 * G * R^-1, which equals expand(g_p * g_q) + mask for a matching pair."""
     unpermuted = mat_permute_cols(pub.g, Permutation(np.argsort(priv.perm.sources)))
     return mat_mul(priv.s_inv, unpermuted)
+
+
+def dense_expand_scalar(polys: PolyGenMatrix, K: int, memory: int) -> MatF2:
+    """expand_scalar built as a dense K x N array, one byte per bit."""
+    n = polys.n
+    ncols = n * (K + memory)
+    row0 = np.zeros(ncols, dtype=np.uint8)
+    for j, pj in enumerate(polys.polys):
+        for i in pj.exponents():
+            row0[n * i + j] = 1
+    bits = np.zeros((K, ncols), dtype=np.uint8)
+    width = n * (memory + 1)
+    for t in range(K):
+        hi = min(n * t + width, ncols)
+        bits[t, n * t : hi] = row0[: hi - n * t]
+    return MatF2.from_bits(bits)
 
 
 def encode_matrix(m: BitVec, polys: PolyGenMatrix, memory: int) -> BitVec:
@@ -272,3 +300,45 @@ def reference_decrypt(priv: PrivateKey, ct: BitVec) -> BitVec:
             continue
         return BitVec.from_bits(m_r.to_bits()[: params.plaintext_len])
     raise DecryptionFailure(weights, [False] * len(weights))
+
+
+def free_distance(polys: PolyGenMatrix) -> int:
+    """Minimum weight over detours that leave and rejoin the zero state.
+
+    Dijkstra over the state graph with the segment output weight as the edge
+    cost; nonnegative costs make the first completed return optimal.
+    """
+    p = polys.memory
+    if p > MAX_SEARCH_MEMORY:
+        raise ValueError(f"memory {p} exceeds the {MAX_SEARCH_MEMORY}-bit search cap")
+    out = _window_symbols(polys)
+    wt = _POP8[out]
+    if p == 0:
+        return int(wt[1])
+    mask = (1 << p) - 1
+    start = 1  # state after the diverging 1-input from state 0
+    dist = {start: int(wt[1])}
+    heap = [(int(wt[1]), start)]
+    done = set()
+    best = None
+    while heap:
+        d, s = heapq.heappop(heap)
+        if s in done:
+            continue
+        done.add(s)
+        if best is not None and d >= best:
+            break
+        for b in (0, 1):
+            w = (s << 1) | b
+            nxt = w & mask
+            nd = d + int(wt[w])
+            if nxt == 0:
+                if best is None or nd < best:
+                    best = nd
+                continue
+            if nd < dist.get(nxt, 1 << 30):
+                dist[nxt] = nd
+                heapq.heappush(heap, (nd, nxt))
+    if best is None or best > _FREE_DISTANCE_BUDGET:
+        raise RuntimeError("free distance search exceeded its weight budget")
+    return best

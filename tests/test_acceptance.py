@@ -28,8 +28,8 @@ from mcc.cryptopipe import (
 from mcc.gf2poly import BinPoly, poly_divmod
 from mcc.keyring import keygen
 from mcc.presets import load_preset
-from mcc.trellis import build_trellis, free_distance, viterbi_decode
-from oracles import recover_masked_sum, reference_outcomes
+from mcc.trellis import build_trellis, viterbi_decode
+from oracles import free_distance, recover_masked_sum, reference_outcomes
 
 
 def criterion(num, name, budget_s=None):

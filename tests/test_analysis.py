@@ -164,6 +164,14 @@ def test_isd_matches_big_integer_oracle():
         k = int(rng.integers(1, n))
         t = int(rng.integers(0, n - k + 1))
         assert isd_log2(n, k, t) == pytest.approx(exact_isd_log2(n, k, t), abs=1e-9)
+    # up to the bench-a ciphertext length, the corners of t included
+    cases = [(5600, 2600, 392), (5600, 2600, 3000), (5600, 1, 5599), (5600, 5599, 1)]
+    for _ in range(20):
+        n = int(rng.integers(201, 5601))
+        k = int(rng.integers(1, n))
+        cases.append((n, k, int(rng.integers(0, n - k + 1))))
+    for n, k, t in cases:
+        assert isd_log2(n, k, t) == pytest.approx(exact_isd_log2(n, k, t), abs=1e-9)
 
 
 def test_isd_validation():

@@ -65,6 +65,47 @@ def test_bitvec_int_round_trip():
         BitVec.from_int(3, 0b1000)
 
 
+BYTE_FORM_LENGTHS = (0, 1, 7, 8, 9, 63, 64, 65, 200)
+
+
+@pytest.mark.parametrize("n", BYTE_FORM_LENGTHS)
+def test_bitvec_byte_form_is_little_endian_packbits(n):
+    bits = np.random.default_rng(n).integers(0, 2, size=n, dtype=np.uint8)
+    raw = np.packbits(bits, bitorder="little").tobytes()
+    v = BitVec.from_bits(bits)
+    assert v.to_bytes() == raw
+    assert BitVec.from_bytes(n, raw) == v
+    assert BitVec.from_int(n, int.from_bytes(raw, "little")) == v
+    assert v.to_int() == int.from_bytes(raw, "little")
+    if n % 8:
+        # a set padding bit would give the same vector a second byte form
+        bad = raw[:-1] + bytes([raw[-1] | 0x80])
+        with pytest.raises(ValueError, match="padding"):
+            BitVec.from_bytes(n, bad)
+    with pytest.raises(ValueError):
+        BitVec.from_bytes(n, raw + b"\0")
+
+
+@pytest.mark.parametrize("cols", BYTE_FORM_LENGTHS)
+def test_matrix_row_bytes_are_the_rows_byte_forms(cols):
+    rows = 3
+    bits = np.random.default_rng(cols).integers(0, 2, size=(rows, cols), dtype=np.uint8)
+    raw = np.packbits(bits, axis=1, bitorder="little").tobytes()
+    m = MatF2.from_bits(bits)
+    assert m.row_bytes() == raw
+    assert m.row_bytes() == b"".join(m.row(i).to_bytes() for i in range(rows))
+    assert MatF2.from_row_bytes(rows, cols, raw) == m
+    assert MatF2.from_row_bytes(0, cols, b"") == MatF2.zeros(0, cols)
+    if cols % 8:
+        stride = (cols + 7) // 8
+        bad = bytearray(raw)
+        bad[2 * stride - 1] |= 0x80
+        with pytest.raises(ValueError, match="padding"):
+            MatF2.from_row_bytes(rows, cols, bytes(bad))
+    with pytest.raises(ValueError):
+        MatF2.from_row_bytes(rows, cols, raw + b"\0")
+
+
 def test_mat_vec_mul_reference_matrix():
     gp = MatF2.from_bitstrings(GP_ROWS)
     m = BitVec.from01("111001")

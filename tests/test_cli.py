@@ -147,6 +147,13 @@ def test_analyze_failure():
     )
     assert code == 0, err
     assert "p_window = 0.0251681" in out
+    # a window count beyond the float range: no window may overload, so 0
+    code, out, err = run_cli(
+        "analyze", "failure",
+        "--p-eff", "0.1175", "--window-bits", "44", "--t-corr", "14", "--windows", "1" + "0" * 400,
+    )
+    assert code == 0, err
+    assert "p_success_all = 0\n" in out
 
 
 def test_analyze_alpha_runs():

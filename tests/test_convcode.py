@@ -15,7 +15,8 @@ from mcc.convcode import (
     interleave,
 )
 from mcc.gf2poly import BinPoly, poly_mul
-from oracles import encode_matrix
+from mcc.presets import PRESET_NAMES, load_preset
+from oracles import dense_expand_scalar, encode_matrix
 
 GP = PolyGenMatrix.from_exponent_lists([[0, 2], [0, 1, 2]])
 GQ = PolyGenMatrix.from_exponent_lists([[0, 7], [7]])
@@ -114,6 +115,24 @@ def test_expand_scalar_trivial_identity():
 def test_expand_scalar_memory_too_small():
     with pytest.raises(ValueError):
         expand_scalar(GP, 6, 1)
+
+
+def test_expand_scalar_matches_dense_construction():
+    # the keygen products of every preset, at full K, and a memory above the degree
+    for name in PRESET_NAMES:
+        pf = load_preset(name)
+        gpq = PolyGenMatrix(tuple(a * b for a, b in zip(pf.g_p.polys, pf.g_q.polys)))
+        mem = pf.params.p + pf.params.q
+        assert expand_scalar(gpq, pf.params.K, mem) == dense_expand_scalar(gpq, pf.params.K, mem)
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        n = int(rng.integers(1, 9))
+        polys = PolyGenMatrix(
+            tuple(BinPoly(int(rng.integers(1, 1 << 12))) for _ in range(n))
+        )
+        k = int(rng.integers(1, 40))
+        mem = polys.memory + int(rng.integers(0, 3))
+        assert expand_scalar(polys, k, mem) == dense_expand_scalar(polys, k, mem)
 
 
 def test_expand_scalar_full_row_rank():

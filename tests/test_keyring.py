@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,6 +214,28 @@ def test_serialize_round_trip_random_desk(desk_keys):
     pub, priv = desk_keys
     assert deserialize_key(serialize_key(pub)) == pub
     assert deserialize_key(serialize_key(priv)) == priv
+
+
+def _transient_bytes(fn, arg):
+    """fn(arg) and its peak traced memory above what is live once it returns."""
+    tracemalloc.start()
+    try:
+        out = fn(arg)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak - current
+
+
+def test_public_key_file_round_trip_stays_packed():
+    # a bench-b-shaped key; one byte per bit would take K * N bytes
+    params = load_preset("bench-b").params
+    pub = PublicKey(params, MatF2.random(params.K, params.N, np.random.default_rng(0)))
+    blob, save_extra = _transient_bytes(serialize_key, pub)
+    back, load_extra = _transient_bytes(deserialize_key, blob)
+    assert back == pub
+    limit = params.K * params.N // 4
+    assert save_extra < limit and load_extra < limit, (save_extra, load_extra, limit)
 
 
 def test_deserialize_rejects_garbage(demo_keys):

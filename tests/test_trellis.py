@@ -11,10 +11,9 @@ from mcc.trellis import (
     _bits_to_symbols,
     _syndrome_bounds,
     build_trellis,
-    free_distance,
     viterbi_decode,
 )
-from oracles import reference_cost_to_go, reference_forward_pass
+from oracles import free_distance, reference_cost_to_go, reference_forward_pass
 
 GP = PolyGenMatrix.from_exponent_lists([[0, 2], [0, 1, 2]])
 D3 = "0111100010101100"
