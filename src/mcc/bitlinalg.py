@@ -104,7 +104,11 @@ class BitVec:
 
     @classmethod
     def from01(cls, s: str) -> "BitVec":
-        return cls.from_bits([int(c) for c in s.strip()])
+        """Read a string of the characters 0 and 1; any other raises ValueError."""
+        s = s.strip()
+        if not set(s) <= {"0", "1"}:
+            raise ValueError("a bit string may hold only the characters 0 and 1")
+        return cls.from_bits([c == "1" for c in s])
 
     @classmethod
     def from_indices(cls, n: int, positions: Iterable[int]) -> "BitVec":
@@ -215,10 +219,7 @@ class MatF2:
         bits = np.asarray(bits, dtype=np.uint8)
         if bits.ndim != 2:
             raise ValueError("expected a 2-d bit array")
-        r, c = bits.shape
-        if r == 0:
-            return cls(0, c)
-        return cls(r, c, _pack(bits))
+        return cls(*bits.shape, _pack(bits))
 
     @classmethod
     def from_rows(cls, rows: Sequence[BitVec]) -> "MatF2":
@@ -240,7 +241,7 @@ class MatF2:
 
     @classmethod
     def from_bitstrings(cls, strings: Iterable[str]) -> "MatF2":
-        return cls.from_bits([[int(c) for c in s] for s in strings])
+        return cls.from_rows([BitVec.from01(s) for s in strings])
 
     @classmethod
     def random(cls, rows: int, cols: int, rng: np.random.Generator) -> "MatF2":
@@ -254,8 +255,6 @@ class MatF2:
         return _to_bytes(self.data, self.cols).tobytes()
 
     def to_bits(self) -> np.ndarray:
-        if self.rows == 0:
-            return np.zeros((0, self.cols), dtype=np.uint8)
         return _unpack(self.data, self.cols)
 
     @property
@@ -318,10 +317,7 @@ def mat_vec_mul(v: BitVec, m: MatF2) -> BitVec:
     """Row vector times matrix: bit j of the result is <v, column j>."""
     if v.n != m.rows:
         raise ValueError(f"dimension mismatch: vector {v.n} vs {m.rows} rows")
-    idx = v.indices()
-    if idx.size == 0:
-        return BitVec.zeros(m.cols)
-    return BitVec(m.cols, np.bitwise_xor.reduce(m.data[idx], axis=0))
+    return BitVec(m.cols, np.bitwise_xor.reduce(m.data[v.indices()], axis=0))
 
 
 def mat_add(a: MatF2, b: MatF2) -> MatF2:

@@ -39,6 +39,8 @@ def _resolve_seed(seed: int | None, out) -> int:
     if seed is None:
         seed = secrets.randbits(63)
         print(f"seed = {seed}", file=out)
+    elif seed < 0:
+        raise _InputError(f"seed must be nonnegative, not {seed}")
     return seed
 
 
@@ -46,12 +48,13 @@ def _read_plaintext(path: str, nbits: int, fmt: str) -> BitVec:
     with open(path, "rb") as fh:
         raw = fh.read()
     if fmt == "bits":
-        text = "".join(raw.decode("ascii", errors="replace").split())
-        if set(text) - {"0", "1"}:
-            raise _InputError(f"{path}: plaintext must be ASCII 0/1")
-        if len(text) != nbits:
-            raise _InputError(f"{path}: expected {nbits} bits, found {len(text)}")
-        return BitVec.from01(text)
+        try:
+            m = BitVec.from01("".join(raw.decode("ascii", errors="replace").split()))
+        except ValueError as exc:
+            raise _InputError(f"{path}: {exc}") from exc
+        if m.n != nbits:
+            raise _InputError(f"{path}: expected {nbits} bits, found {m.n}")
+        return m
     if nbits % 8:
         raise _InputError(f"raw format needs a byte-aligned length, not {nbits} bits")
     if len(raw) * 8 != nbits:
@@ -109,7 +112,7 @@ def _cmd_keygen(args) -> int:
                 text = fh.read()
         except UnicodeDecodeError as exc:
             raise _InputError(f"cannot read {args.inject}: {exc}") from exc
-        material = parse_inject_json(text, pf.params)
+        material = parse_inject_json(text)
     try:
         pub, priv = keyring.keygen(
             pf.params, pf.g_p, pf.g_q, np.random.default_rng(seed), material=material
@@ -200,7 +203,7 @@ def _analyze(args) -> None:
         _emit([("rate", args.rate), ("relative_distance", f"{delta:.3f}")], args.json)
     elif args.what == "alpha":
         pf = load_params(args.params)
-        stream_len = args.stream_len or (pf.params.K + pf.params.p + pf.params.q)
+        stream_len = args.stream_len if args.stream_len is not None else pf.params.N // pf.params.n
         e = float(pf.params.e)
         per_stream = analysis.estimate_alpha(pf.g_q, e, stream_len)
         alpha = sum(per_stream)

@@ -100,6 +100,15 @@ class CodeParams:
         if self.r >= self.K:
             raise ValueError("CRC degree must be smaller than K")
 
+    def check_generators(self, g_p: PolyGenMatrix, g_q: PolyGenMatrix) -> None:
+        """Raise ValueError unless g_p and g_q each have n polynomials, of memory p and q."""
+        if g_p.n != self.n or g_q.n != self.n:
+            raise ValueError("polynomial counts disagree with n")
+        if g_p.memory != self.p:
+            raise ValueError(f"g_p memory {g_p.memory} does not equal p = {self.p}")
+        if g_q.memory != self.q:
+            raise ValueError(f"g_q memory {g_q.memory} does not equal q = {self.q}")
+
     @property
     def N(self) -> int:
         return self.n * (self.K + self.p + self.q)

@@ -111,7 +111,8 @@ class KeyMaterial:
     def check(self, params: CodeParams) -> None:
         """Raise ValueError unless the draws fit the parameters and a key file.
 
-        A private key file holds at most l basis vectors, each of length N.
+        A private key file holds at most l basis vectors, each of length N,
+        and decryption unmasks only their span, so every mask row lies in it.
         """
         if (
             self.s.shape != (params.K, params.K)
@@ -121,6 +122,10 @@ class KeyMaterial:
             or any(v.n != params.N for v in self.mask_basis.vectors)
         ):
             raise ValueError("injected material does not match the parameters")
+        # the basis is independent, so a row outside its span raises the rank
+        rows = np.vstack([*(v.words for v in self.mask_basis.vectors), self.mask_matrix.data])
+        if rank(MatF2(len(rows), params.N, rows)) != self.mask_basis.l:
+            raise ValueError("injected mask rows are not in the span of the mask basis")
 
 
 def gen_mask_basis(N: int, l: int, rng: np.random.Generator) -> MaskBasis:
@@ -142,10 +147,9 @@ def gen_mask_matrix(
 ) -> MatF2:
     """Rows drawn uniformly from the span, redrawn until the masked sum has rank K."""
     if basis.l == 0:
-        zero = MatF2.zeros(K, g_pq.cols)
-        if rank(g_pq) != K:
-            raise RuntimeError("generator matrix is rank deficient")
-        return zero
+        # keygen's g_pq comes from expand_scalar: row t is the nonzero row 0
+        # shifted n * t bits, so the rows have distinct lowest set bits and rank K
+        return MatF2.zeros(K, g_pq.cols)
     if basis.vectors[0].n != g_pq.cols:
         raise ValueError("basis length does not match the matrix width")
     basis_mat = MatF2.from_rows(basis.vectors)
@@ -165,12 +169,7 @@ def keygen(
     material: KeyMaterial | None = None,
 ) -> tuple[PublicKey, PrivateKey]:
     """Generate a key pair; `material` pins the random draws for fixtures."""
-    if g_p.n != params.n or g_q.n != params.n:
-        raise ValueError("stream counts disagree with the parameters")
-    if g_p.memory != params.p:
-        raise ValueError("G_P memory does not equal p")
-    if g_q.memory != params.q:
-        raise ValueError("G_Q memory does not equal q")
+    params.check_generators(g_p, g_q)
     g_pq = PolyGenMatrix(tuple(a * b for a, b in zip(g_p.polys, g_q.polys)))
     gpq_mat = expand_scalar(g_pq, params.K, params.p + params.q)
     if material is None:
@@ -335,8 +334,7 @@ def serialize_key(key: PublicKey | PrivateKey) -> bytes:
 def _read_private(r: _Reader, params: CodeParams) -> PrivateKey:
     g_p = PolyGenMatrix(tuple(r.poly() for _ in range(params.n)))
     g_q = PolyGenMatrix(tuple(r.poly() for _ in range(params.n)))
-    if g_p.memory != params.p or g_q.memory != params.q:
-        raise KeyFormatError("polynomial degrees disagree with the parameters")
+    params.check_generators(g_p, g_q)
     s_inv = r.matrix(params.K, params.K)
     perm = Permutation(np.frombuffer(r.take(4 * params.N), "<u4"))
     l = r.u32()

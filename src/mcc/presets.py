@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-import numpy as np
-
 from .bitlinalg import BitVec, MatF2, Permutation
 from .convcode import MAX_N, CodeParams, PolyGenMatrix
 from .gf2poly import BinPoly
@@ -107,17 +105,14 @@ def parse_param_file(text: str) -> ParamFile:
             e=_parse_rational(entries["e"]),
             r_poly=crc,
         )
+        params.check_generators(g_p, g_q)
+        seed = int(entries["seed"]) if "seed" in entries else None
     except ParamFileError:
         raise
     except ValueError as exc:
         raise ParamFileError(str(exc)) from exc
-    if g_p.n != params.n or g_q.n != params.n:
-        raise ParamFileError("polynomial counts disagree with n")
-    if g_p.memory != params.p:
-        raise ParamFileError(f"g_p memory {g_p.memory} does not equal p = {params.p}")
-    if g_q.memory != params.q:
-        raise ParamFileError(f"g_q memory {g_q.memory} does not equal q = {params.q}")
-    seed = int(entries["seed"]) if "seed" in entries else None
+    if seed is not None and seed < 0:
+        raise ParamFileError(f"seed must be nonnegative, not {seed}")
     return ParamFile(params=params, g_p=g_p, g_q=g_q, seed=seed)
 
 
@@ -143,19 +138,33 @@ def load_params(path_or_preset: str) -> ParamFile:
     return parse_param_file(text)
 
 
-def parse_inject_json(text: str, params: CodeParams) -> KeyMaterial:
-    """Read the key material an inject file pins; other fields are ignored."""
+def _json_list(doc, key: str, item: type) -> list:
+    """doc[key], which must be a list of `item` values."""
+    value = doc.get(key)
+    # type(), not isinstance(): JSON true and false are not source indices
+    if not isinstance(value, list) or any(type(x) is not item for x in value):
+        raise ValueError(f"{key} must be a list of {item.__name__}")
+    return value
+
+
+def parse_inject_json(text: str) -> KeyMaterial:
+    """Read the key material an inject file pins; other fields are ignored.
+
+    keygen checks that the material fits the parameters.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParamFileError(f"bad inject file: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParamFileError("bad inject file: expected a JSON object")
     try:
-        s = MatF2.from_bitstrings(doc["s_rows"])
-        perm = Permutation(np.array(doc["perm_sources"], dtype=np.int64))
-        basis = MaskBasis(tuple(BitVec.from01(v) for v in doc["mask_basis"]))
-        mask = MatF2.from_bitstrings(doc["mask_rows"])
-        material = KeyMaterial(s=s, perm=perm, mask_basis=basis, mask_matrix=mask)
-        material.check(params)
-    except (KeyError, ValueError) as exc:
+        return KeyMaterial(
+            s=MatF2.from_bitstrings(_json_list(doc, "s_rows", str)),
+            perm=Permutation(_json_list(doc, "perm_sources", int)),
+            mask_basis=MaskBasis(tuple(map(BitVec.from01, _json_list(doc, "mask_basis", str)))),
+            mask_matrix=MatF2.from_bitstrings(_json_list(doc, "mask_rows", str)),
+        )
+    # a source index beyond int64 overflows before Permutation can refuse it
+    except (ValueError, OverflowError) as exc:
         raise ParamFileError(f"bad inject file: {exc}") from exc
-    return material

@@ -36,7 +36,7 @@ def demo():
         params=pf.params,
         g_p=pf.g_p,
         g_q=pf.g_q,
-        material=parse_inject_json(text, pf.params),
+        material=parse_inject_json(text),
         message=BitVec.from01(doc["message"]),
         error_positions=tuple(doc["error_positions"]),
     )

@@ -1,6 +1,7 @@
 """The package's top-level names and span labels: what the benchmark harness
 reads, and no more."""
 
+import ast
 import importlib.util
 import re
 import sys
@@ -11,6 +12,7 @@ import mcc
 from mcc.presets import load_preset
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = Path(mcc.__file__).resolve().parent
 
 TOP_LEVEL = {
     "BitVec",
@@ -77,3 +79,36 @@ def test_every_span_label_the_benchmark_reads_is_traced():
             tracer, dict.fromkeys(ops, 1), {}, 0, load_preset("desk").params, 0.0
         )
     assert absent == []
+
+
+def unused_imports(source: str) -> set[str]:
+    """Names a module imports and never reads; its __all__ counts as a read."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return imported - used
+
+
+def test_unused_import_guard_sees_unread_names():
+    assert unused_imports("import numpy as np\nfrom .a import b, c\nc()\n") == {"np", "b"}
+    assert unused_imports("from __future__ import annotations\nimport os.path\nos.sep\n") == set()
+    assert unused_imports("from .a import b\n__all__ = ['b']\n") == set()
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = {
+        path.name: names
+        for path in sorted(SRC.glob("*.py"))
+        if (names := unused_imports(path.read_text()))
+    }
+    assert unused == {}

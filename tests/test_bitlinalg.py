@@ -50,6 +50,16 @@ def test_bitvec_basics():
     assert BitVec.from_indices(5, [0, 2, 3]) == v
 
 
+def test_bit_strings_hold_only_0_and_1():
+    # any other digit used to read as 1 and silently changed an injected key
+    for text in ("201", "1 0", "10x"):
+        with pytest.raises(ValueError, match="0 and 1"):
+            BitVec.from01(text)
+    with pytest.raises(ValueError, match="0 and 1"):
+        MatF2.from_bitstrings(["10", "12"])
+    assert MatF2.from_bitstrings(["10", "01"]) == MatF2.identity(2)
+
+
 def test_bitvec_canonical_padding():
     # stray bits above the length must never leak in
     v = BitVec(3, np.array([0xFF], dtype=np.uint64))

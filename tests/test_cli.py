@@ -285,12 +285,15 @@ def test_exit_code_malformed_inputs(tmp_path, demo):
         "--out-pub", str(tmp_path / "a"), "--out-priv", str(tmp_path / "b"),
     )
     assert code == 2, err
-    # mask row 1 makes row 1 of expand(g_p * g_q) + mask equal row 0
+    # mask row 1 makes row 1 of expand(g_p * g_q) + mask equal row 0; the
+    # basis holds row 0 + row 1, so every mask row lies in its span
     gpq = PolyGenMatrix(tuple(a * b for a, b in zip(demo.g_p.polys, demo.g_q.polys)))
     rows = expand_scalar(gpq, demo.params.K, demo.params.p + demo.params.q)
     doc = json.loads(resources.files("mcc").joinpath("data", "demo_inject.json").read_text())
-    mask0 = BitVec.from01(doc["mask_rows"][0])
-    doc["mask_rows"][1] = (rows.row(0) ^ mask0 ^ rows.row(1)).to01()
+    mask0 = BitVec.from01(doc["mask_basis"][1])
+    b0 = rows.row(0) ^ rows.row(1)
+    doc["mask_basis"][0] = b0.to01()
+    doc["mask_rows"] = [mask0.to01(), (mask0 ^ b0).to01()] + [mask0.to01()] * 4
     inject.write_text(json.dumps(doc))
     code, _, err = run_cli(
         "keygen", "--params", "demo", "--inject", str(inject),
@@ -298,8 +301,44 @@ def test_exit_code_malformed_inputs(tmp_path, demo):
     )
     assert code == 2, err
     assert "rank deficient" in err
-    # a K beyond the size cap is refused before keygen allocates anything
+    # wrong JSON types, an index beyond int64, and digits other than 0/1
+    original = resources.files("mcc").joinpath("data", "demo_inject.json").read_text()
+    for key, value in (
+        ("s_rows", 5),
+        ("mask_basis", [1, 2]),
+        (None, [1, 2]),
+        ("perm_sources", [10**30] + doc["perm_sources"][1:]),
+        ("s_rows", ["200100"] + doc["s_rows"][1:]),
+    ):
+        edited = json.loads(original)
+        if key is None:
+            edited = value
+        else:
+            edited[key] = value
+        inject.write_text(json.dumps(edited))
+        code, _, err = run_cli(
+            "keygen", "--params", "demo", "--inject", str(inject),
+            "--out-pub", str(tmp_path / "a"), "--out-priv", str(tmp_path / "b"),
+        )
+        assert code == 2, (key, err)
+        assert err.startswith("error: ") and err.count("\n") == 1, (key, err)
+    # a seed that is not an integer, or negative, in the file or on the command line
     demo_text = resources.files("mcc").joinpath("data", "demo.params").read_text()
+    for seed in ("abc", "-1"):
+        params.write_text(demo_text + f"seed = {seed}\n")
+        code, _, err = run_cli(
+            "keygen", "--params", str(params),
+            "--out-pub", str(tmp_path / "a"), "--out-priv", str(tmp_path / "b"),
+        )
+        assert code == 2, (seed, err)
+        assert err.startswith("error: "), err
+    code, _, err = run_cli(
+        "keygen", "--params", "demo", "--seed", "-1",
+        "--out-pub", str(tmp_path / "a"), "--out-priv", str(tmp_path / "b"),
+    )
+    assert code == 2, err
+    assert err.startswith("error: ") and "nonnegative" in err
+    # a K beyond the size cap is refused before keygen allocates anything
     params.write_text(demo_text.replace("K = 6", "K = 3000000"))
     code, _, err = run_cli(
         "keygen", "--params", str(params),
@@ -348,6 +387,12 @@ def test_exit_code_malformed_inputs(tmp_path, demo):
     )
     assert code == 2, err
     assert err.startswith("error: ")
+    code, _, err = run_cli(
+        "encrypt", "--pub", str(pub), "--in", str(msg), "--out", str(tmp_path / "c"),
+        "--seed", "-1",
+    )
+    assert code == 2, err
+    assert err.startswith("error: ")
     # a demo ciphertext with the two padding bits of its last byte set
     ct = tmp_path / "padded.ct"
     code, _, err = run_cli(
@@ -367,11 +412,14 @@ def test_exit_code_malformed_inputs(tmp_path, demo):
         ("analyze", "failure", "--p-eff", "2", "--window-bits", "4", "--t-corr", "1",
          "--windows", "1"),
         ("analyze", "alpha", "--params", "demo", "--stream-len", "3"),
+        # 0 is a length, not a request for the default one
+        ("analyze", "alpha", "--params", "desk", "--stream-len", "0"),
         # beyond MAX_N: refused before any work sized by the value
         ("analyze", "alpha", "--params", "desk", "--stream-len", "32769"),
         ("analyze", "failure", "--p-eff", "0.1175", "--window-bits", "32769", "--t-corr",
          "150", "--windows", "10"),
         ("simulate", "--params", "demo", "--trials", "0"),
+        ("simulate", "--params", "demo", "--trials", "1", "--seed", "-1"),
     ):
         code, _, err = run_cli(*argv)
         assert code == 2, (argv, err)

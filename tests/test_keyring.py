@@ -135,6 +135,16 @@ def test_keygen_rejects_basis_the_key_file_cannot_hold(demo):
             keygen(demo.params, demo.g_p, demo.g_q, rng, material=material)
 
 
+def test_keygen_rejects_mask_rows_outside_the_basis_span(demo):
+    # decryption tests only the span's 2^l elements, so such a key decrypted
+    # noiseless demo ciphertexts to wrong plaintexts
+    rows = demo.material.mask_matrix.to_bits()
+    rows[0, 0] ^= 1
+    material = dataclasses.replace(demo.material, mask_matrix=MatF2.from_bits(rows))
+    with pytest.raises(ValueError, match="span"):
+        keygen(demo.params, demo.g_p, demo.g_q, np.random.default_rng(0), material=material)
+
+
 def test_keygen_rejects_bad_degrees(demo):
     with pytest.raises(ValueError):
         keygen(demo.params, demo.g_q, demo.g_q, np.random.default_rng(0))

@@ -2,7 +2,9 @@
 trips and malformed input handling."""
 
 import contextlib
+import json
 from fractions import Fraction
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -251,6 +253,69 @@ def test_cli_decrypt_of_a_damaged_file_exits_cleanly(desk_files, target, edits, 
         assert err.startswith("error: ")
     else:
         assert "retransmission" in err
+
+
+def demo_data(name: str) -> str:
+    return resources.files("mcc").joinpath("data", name).read_text()
+
+
+INJECT_KEYS = ("s_rows", "perm_sources", "mask_basis", "mask_rows")
+CHARS = st.characters(codec="utf-8")
+# an int, a list, a string, or an index beyond int64
+JSON_VALUES = st.one_of(
+    st.integers(-3, 40),
+    st.lists(st.integers(-3, 40) | st.text(CHARS, max_size=4), max_size=3),
+    st.text(CHARS, max_size=8),
+    st.just(10**30),
+)
+
+
+@st.composite
+def edited_inject_files(draw):
+    """demo_inject.json with a key dropped, a value or list item swapped, or a character changed."""
+    text = demo_data("demo_inject.json")
+    how = draw(st.sampled_from(["drop", "value", "item", "char"]))
+    if how == "char":
+        i = draw(st.integers(0, len(text) - 1))
+        return text[:i] + draw(CHARS) + text[i + 1 :]
+    doc = json.loads(text)
+    key = draw(st.sampled_from(INJECT_KEYS))
+    if how == "drop":
+        del doc[key]
+    elif how == "value":
+        doc[key] = draw(JSON_VALUES)
+    else:
+        doc[key][draw(st.integers(0, len(doc[key]) - 1))] = draw(JSON_VALUES)
+    return json.dumps(doc)
+
+
+@pytest.fixture(scope="module")
+def edit_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli-keygen")
+
+
+@SETTINGS
+@given(
+    inject=st.none() | edited_inject_files(),
+    seed=st.none() | st.integers(-(2**70), 2**70).map(str) | st.text(CHARS, max_size=8),
+)
+def test_cli_keygen_of_an_edited_input_file_exits_cleanly(edit_dir, inject, seed):
+    # an edited inject file or seed line keys or is refused: exit 0 or 2, never
+    # exit 1 or 4 or an escaping exception
+    params = demo_data("demo.params")
+    if seed is not None:
+        params += f"seed = {seed}\n"
+    (edit_dir / "edited.params").write_text(params, encoding="utf-8")
+    argv = ["keygen", "--params", str(edit_dir / "edited.params")]
+    if inject is not None:
+        (edit_dir / "edited.json").write_text(inject, encoding="utf-8")
+        argv += ["--inject", str(edit_dir / "edited.json")]
+    argv += ["--out-pub", str(edit_dir / "k.pub"), "--out-priv", str(edit_dir / "k.priv")]
+    code, _, err = run_cli(*argv)
+    assert code in (0, 2), err
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("error: ")
 
 
 def exponent_sets(top: int):
