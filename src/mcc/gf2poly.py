@@ -8,6 +8,7 @@ streams and CRC words all map bit index i to x^i.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .bitlinalg import BitVec
 
@@ -130,20 +131,35 @@ def poly_divmod(a: BinPoly, b: BinPoly) -> tuple[BinPoly, BinPoly]:
     return BinPoly(q), BinPoly(r)
 
 
+@lru_cache(maxsize=16)
+def _crc_table(g: int) -> tuple[int, ...]:
+    """(v * x^r) mod g for every byte value v, where r = deg(g)."""
+    r = g.bit_length() - 1
+    return tuple(poly_divmod(BinPoly(v << r), BinPoly(g))[1].value for v in range(256))
+
+
 def crc_append(m: BitVec, r_poly: BinPoly) -> BitVec:
     """Append the CRC of m, giving a word that crc_verify accepts.
 
     The output is m followed by the coefficients of x^r * m(x) mod r_poly,
     where r is the CRC degree. A degree-0 polynomial yields m unchanged.
+    The message is reduced a byte at a time from its top coefficients, its
+    leading m.n mod 8 bits padded with zeros to a first byte.
     """
     if not r_poly.value:
         raise ValueError("CRC polynomial must be nonzero")
     r = r_poly.degree
     if r == 0:
         return m
+    table = _crc_table(r_poly.value)
+    mask = (1 << r) - 1
     word = m.to_int()
-    _, rem = poly_divmod(BinPoly(word << r), r_poly)
-    return BitVec.from_int(m.n + r, word | rem.value << m.n)
+    # rem is x^r times the message bytes read so far, mod r_poly
+    rem = 0
+    for byte in word.to_bytes((m.n + 7) // 8, "big"):
+        shifted = rem << 8
+        rem = table[(shifted >> r) ^ byte] ^ (shifted & mask)
+    return BitVec.from_int(m.n + r, word | rem << m.n)
 
 
 def crc_verify(m_r: BitVec, r_poly: BinPoly) -> bool:

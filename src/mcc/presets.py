@@ -66,6 +66,13 @@ def _parse_rational(value: str) -> Fraction:
         raise ParamFileError(f"cannot parse rational {value!r}") from exc
 
 
+def _parse_int(entries: dict[str, str], key: str) -> int:
+    try:
+        return int(entries[key])
+    except ValueError as exc:
+        raise ParamFileError(f"{key}: {exc}") from exc
+
+
 def parse_param_file(text: str) -> ParamFile:
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -97,16 +104,16 @@ def parse_param_file(text: str) -> ParamFile:
             else DEFAULT_CRC_POLY
         )
         params = CodeParams(
-            n=int(entries["n"]),
-            p=int(entries["p"]),
-            q=int(entries["q"]),
-            K=int(entries["K"]),
-            l=int(entries["l"]),
+            n=_parse_int(entries, "n"),
+            p=_parse_int(entries, "p"),
+            q=_parse_int(entries, "q"),
+            K=_parse_int(entries, "K"),
+            l=_parse_int(entries, "l"),
             e=_parse_rational(entries["e"]),
             r_poly=crc,
         )
         params.check_generators(g_p, g_q)
-        seed = int(entries["seed"]) if "seed" in entries else None
+        seed = _parse_int(entries, "seed") if "seed" in entries else None
     except ParamFileError:
         raise
     except ValueError as exc:

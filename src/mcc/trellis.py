@@ -6,10 +6,22 @@ segment outputs are parities of the (p+1)-bit window against each generator.
 Zero-tail termination is structural: the final p segments admit only the
 zero input, so every decode starts and ends in state 0.
 
-Decoding reads one uint8 branch-metric table: entry [r, h, l, b] is the
-Hamming distance between received symbol r and the output of the window
-(s << 1) | b, where s = h * 2^(p-1) + l is the predecessor state. It takes
-2^(n+p+1) bytes, 32 MB at the n = 8, p = 16 corner.
+Decoding runs the segments two at a time, as two radix-2 stages (Black and
+Meng's radix-4 step, JSSC 1992), so that every numpy call loops over a
+contiguous run of the low state bits. With half = 2^(p-1), q = 2^(p-2) and
+predecessor s = h * half + m, two int32 branch-metric tables hold the
+Hamming distance between received symbol r and the output of window
+(s << 1) | b:
+
+- T1[r, b, h, m], read by a first stage and by a single-segment step; as
+  [r, b1, h1, h0, l] it splits m = h0 * q + l;
+- T2[r, b1, b2, h0, l], read by a second stage, whose predecessor is
+  h0 * half + 2l + b1.
+
+Together they take 2^(n+p+4) bytes, 256 MiB at the n = 8, p = 16 corner;
+T2 is built only when some segments run in pairs (p >= 2 and K >= 2).
+Survivors are packed eight to a byte, one row of
+2^p bits per segment, in the order each step computes them.
 
 Every decode has a bound. It stops as soon as a lower bound on its weight
 exceeds the bound, and returns that lower bound. Path metrics never
@@ -68,9 +80,18 @@ class Trellis:
         self.K = K
         self.num_states = 1 << p
         self.segments = K + p
+        # segments decoded two at a time: every pair before the zero tail
+        self._paired = K & ~1 if p >= 2 else 0
         out = _window_symbols(polys)
         syms = np.arange(1 << self.n, dtype=np.uint8)
-        self._bm = _POP8[out.reshape(2, self.num_states >> 1, 2) ^ syms[:, None, None, None]]
+        # bm[r, h, m, b] is the metric of predecessor h * half + m on input b
+        bm = _POP8[out.reshape(2, self.num_states >> 1, 2) ^ syms[:, None, None, None]]
+        self._t1 = np.ascontiguousarray(bm.transpose(0, 3, 1, 2), dtype=np.int32)
+        self._t2 = None
+        if self._paired:
+            quarter = self.num_states >> 2
+            split = bm.reshape(-1, 2, quarter, 2, 2).transpose(0, 3, 4, 1, 2)
+            self._t2 = np.ascontiguousarray(split, dtype=np.int32)
 
     def __repr__(self) -> str:
         return f"Trellis(n={self.n}, p={self.p}, K={self.K}, states={self.num_states})"
@@ -139,29 +160,62 @@ def _syndrome_bounds(trellis: Trellis, received: BitVec, after: np.ndarray) -> n
 
 
 def _forward_pass(trellis: Trellis, rsyms: np.ndarray, bound: int, tail_lb: dict[int, int]):
-    """ACS recursion; returns final path metrics and survivor bits per segment.
+    """ACS recursion; returns final path metrics and packed survivor rows.
 
-    After each segment t in tail_lb, which maps t to a lower bound on the
-    weight of the segments after it, the minimum metric plus tail_lb[t] is
-    compared with the bound; once it is larger the pass stops and returns
-    the current metrics plus tail_lb[t] with survivors None.
+    Survivor bit i of row t is set when segment t kept the predecessor with
+    the top bit set for the state at index i, in that step's order (see the
+    traceback in viterbi_decode). After each segment t in tail_lb, which
+    maps t to a lower bound on the weight of the segments after it, the
+    minimum metric plus tail_lb[t] is compared with the bound; once it is
+    larger the pass stops and returns the current metrics (after a first
+    stage, in its order) plus tail_lb[t] with survivors None.
     """
-    ns = trellis.num_states
+    ns, K = trellis.num_states, trellis.K
     half = ns >> 1
     pm = np.full(ns, _INF, dtype=np.int32)
     pm[0] = 0
-    # survivors[t, j] is the top bit of the predecessor kept for state j
-    survivors = np.empty((trellis.segments, half, 2), dtype=bool)
-    for t in range(trellis.segments):
-        cand = pm.reshape(2, half, 1) + trellis._bm[rsyms[t]]
-        # on ties keep the lower-indexed predecessor
-        np.less(cand[1], cand[0], out=survivors[t])
-        pm = np.minimum(cand[0], cand[1]).reshape(-1)
-        if t >= trellis.K:
+    survivors = np.empty((trellis.segments, (ns + 7) >> 3), dtype=np.uint8)
+    rows = rsyms.tolist()
+    cand = np.empty((2, 2, half), dtype=np.int32)
+    sel = np.empty((2, half), dtype=bool)
+    # on ties every stage keeps the lower-indexed predecessor
+    if trellis._paired:
+        quarter = half >> 1
+        t1 = trellis._t1.reshape(-1, 2, 2, 2, quarter)
+        c4 = cand.reshape(2, 2, 2, quarter)
+        s3 = sel.reshape(2, 2, quarter)
+        a1 = np.empty((2, 2, quarter), dtype=np.int32)
+        pm_in = pm.reshape(2, 2, quarter)
+        # the second stage writes state 4l + 2b1 + b2 at [b1, b2, l]
+        pm_out = pm.reshape(quarter, 2, 2).transpose(1, 2, 0)
+        for t in range(0, trellis._paired, 2):
+            # first stage: c4[b1, h1, h0, l], metrics a1[b1, h0, l]
+            np.add(pm_in, t1[rows[t]], out=c4)
+            np.less(c4[:, 1], c4[:, 0], out=s3)
+            survivors[t] = np.packbits(sel, axis=None, bitorder="little")
+            np.minimum(c4[:, 0], c4[:, 1], out=a1)
+            if t in tail_lb and a1.min() + tail_lb[t] > bound:
+                return a1.reshape(-1) + tail_lb[t], None
+            # second stage: c4[b1, b2, h0, l]
+            np.add(a1[:, None], trellis._t2[rows[t + 1]], out=c4)
+            np.less(c4[:, :, 1], c4[:, :, 0], out=s3)
+            survivors[t + 1] = np.packbits(sel, axis=None, bitorder="little")
+            np.minimum(c4[:, :, 0], c4[:, :, 1], out=pm_out)
+            if t + 1 in tail_lb and pm.min() + tail_lb[t + 1] > bound:
+                return pm + tail_lb[t + 1], None
+    # single steps: cand[b, h, m], state 2m + b at [b, m]
+    pm_in = pm.reshape(2, half)
+    pm_out = pm.reshape(half, 2).T
+    for t in range(trellis._paired, trellis.segments):
+        np.add(pm_in, trellis._t1[rows[t]], out=cand)
+        np.less(cand[:, 1], cand[:, 0], out=sel)
+        survivors[t] = np.packbits(sel, axis=None, bitorder="little")
+        np.minimum(cand[:, 0], cand[:, 1], out=pm_out)
+        if t >= K:
             pm[1::2] = _INF
         if t in tail_lb and pm.min() + tail_lb[t] > bound:
             return pm + tail_lb[t], None
-    return pm, survivors.reshape(trellis.segments, ns)
+    return pm, survivors
 
 
 def viterbi_decode(
@@ -194,9 +248,16 @@ def viterbi_decode(
     bits = np.zeros(trellis.segments, dtype=np.uint8)
     state = 0
     top_shift = trellis.p - 1
+    half = trellis.num_states >> 1
     for t in range(trellis.segments - 1, -1, -1):
         bits[t] = state & 1
-        state = (state >> 1) | (int(survivors[t, state]) << top_shift)
+        # a second stage stores state 4l + 2b1 + b2 at bit b1 * half + b2 * q
+        # + l, any other step state 2m + b at bit b * half + m
+        if t < trellis._paired and t & 1:
+            i = ((state >> 1) & 1) * half + (state & 1) * (half >> 1) + (state >> 2)
+        else:
+            i = (state & 1) * half + (state >> 1)
+        state = (state >> 1) | (((int(survivors[t, i >> 3]) >> (i & 7)) & 1) << top_shift)
     info = BitVec.from_bits(bits[: trellis.K])
     weight = (received ^ encode_streams(info, trellis.polys, trellis.p)).weight()
     assert weight == int(pm[0]), "path metric disagrees with the survivor path"

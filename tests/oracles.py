@@ -214,6 +214,14 @@ def unit_vector_alpha(g_q: PolyGenMatrix, e: float, stream_len: int) -> tuple[fl
     return tuple(per_stream)
 
 
+def reference_crc_append(m: BitVec, r_poly: BinPoly) -> BitVec:
+    """m followed by x^r * m(x) mod r_poly, by one long division."""
+    r = r_poly.degree
+    word = m.to_int()
+    _, rem = poly_divmod(BinPoly(word << r), r_poly)
+    return BitVec.from_int(m.n + r, word | rem.value << m.n)
+
+
 def reference_forward_pass(trellis: Trellis, rsyms: np.ndarray):
     """Plain ACS with per-segment XOR + popcount branch metrics.
 

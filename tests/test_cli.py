@@ -332,6 +332,18 @@ def test_exit_code_malformed_inputs(tmp_path, demo):
         )
         assert code == 2, (seed, err)
         assert err.startswith("error: "), err
+    # an integer key that is not an integer is named in the one error line
+    for key, text in (
+        ("n", demo_text.replace("n = 2", "n = x")),
+        ("seed", demo_text + "seed = abc\n"),
+    ):
+        params.write_text(text)
+        code, _, err = run_cli(
+            "keygen", "--params", str(params),
+            "--out-pub", str(tmp_path / "a"), "--out-priv", str(tmp_path / "b"),
+        )
+        assert code == 2, (key, err)
+        assert err.startswith(f"error: {key}: ") and err.count("\n") == 1, (key, err)
     code, _, err = run_cli(
         "keygen", "--params", "demo", "--seed", "-1",
         "--out-pub", str(tmp_path / "a"), "--out-priv", str(tmp_path / "b"),

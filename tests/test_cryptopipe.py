@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -381,3 +382,42 @@ def test_ciphertext_serialization_round_trip(demo_keys):
         except KeyFormatError:
             continue
         assert serialize_ciphertext(parsed) == bytes(data), bit
+
+
+def _outcome_records(keys, offsets, rng):
+    """Ciphertext and decrypt outcome for each injected error weight gate + offset.
+
+    The outcome is the plaintext bytes, or the failure's weights text with
+    its >= lower bounds.
+    """
+    pub, priv = keys
+    params = pub.params
+    gate = candidate_gate(params, priv.g_q)
+    for offset in offsets:
+        m = BitVec.random(params.plaintext_len, rng)
+        error = BitVec.from_indices(params.N, rng.choice(params.N, gate + offset, replace=False))
+        ct = encrypt(pub, m, rng, error=error)
+        try:
+            outcome = decrypt(priv, pub, ct).to_bytes()
+        except DecryptionFailure as exc:
+            outcome = exc.weights_text().encode()
+        yield ct.to_bytes() + b"|" + outcome + b"\n"
+
+
+def test_decrypt_outcomes_are_pinned(desk_keys, bench_b_keys):
+    # error weights below, at and above the gate: decrypted plaintexts and
+    # failures whose lower bounds come from the syndromes and from decodes
+    # stopped partway, so a bounded path that stops elsewhere changes the hash
+    from mcc.keyring import keygen
+
+    bench_a = load_preset("bench-a")
+    bench_a_keys = keygen(bench_a.params, bench_a.g_p, bench_a.g_q, np.random.default_rng(5))
+    digest = hashlib.sha256()
+    for keys, offsets in (
+        (desk_keys, (-10, 0, 2, 4, 5, 8, 15)),
+        (bench_b_keys, (-100, 0, 100, 150, 300)),
+        (bench_a_keys, (0, 20)),
+    ):
+        for record in _outcome_records(keys, offsets, np.random.default_rng(8)):
+            digest.update(record)
+    assert digest.hexdigest() == "dafb0c30b5ccdcbb5752643e32025037207b0a7d1ed012382173f0e8b4db27d2"

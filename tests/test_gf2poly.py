@@ -3,6 +3,8 @@ import pytest
 
 from mcc.bitlinalg import BitVec
 from mcc.gf2poly import BinPoly, crc_append, crc_verify, poly_divmod, poly_mul
+from mcc.presets import PRESET_NAMES, load_preset
+from oracles import reference_crc_append
 
 
 def P(*exps):
@@ -132,3 +134,18 @@ def test_crc_detects_every_single_bit_flip(r_poly):
             flipped = bits.copy()
             flipped[i] ^= 1
             assert not crc_verify(BitVec.from_bits(flipped), r_poly)
+
+
+@pytest.mark.parametrize(
+    "r_poly",
+    [load_preset(name).params.r_poly for name in PRESET_NAMES]
+    + [P(0, 1), P(1), P(0, 2), P(0, 1, 3), P(3), P(0, 2, 9), P(0, 8, 9), P(0, 1, 5, 6, 8, 31)],
+)
+def test_crc_append_matches_long_division(r_poly):
+    # the byte table against one long division: every preset's polynomial,
+    # degrees 1 to 3 and above 8, random messages of 0 to 70 bits and of
+    # bench-a's 2584
+    rng = np.random.default_rng(47)
+    for k in [*range(71), 2584]:
+        m = BitVec.random(k, rng)
+        assert crc_append(m, r_poly) == reference_crc_append(m, r_poly)

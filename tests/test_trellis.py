@@ -22,9 +22,10 @@ D1 = "0101001000000110"
 D2 = "0010110111111001"
 
 
-def random_code(rng, n_max=4, p_max=3):
+def random_code(rng, n_max=4, p_max=3, p=None):
     n = int(rng.integers(2, n_max + 1))
-    p = int(rng.integers(1, p_max + 1))
+    if p is None:
+        p = int(rng.integers(1, p_max + 1))
     polys = []
     for _ in range(n):
         v = int(rng.integers(0, 1 << (p + 1))) | 1 | (1 << p)
@@ -130,22 +131,40 @@ def test_optimality_against_brute_force():
 
 
 def test_n8_p16_corner_decodes_optimally():
-    # the largest branch-metric table CodeParams admits: 2^(8+16+1) bytes
+    # the largest branch-metric tables CodeParams admits: 2^(8+16+4) bytes
     rng = np.random.default_rng(19)
     polys = PolyGenMatrix(
         tuple(BinPoly(int(rng.integers(0, 1 << 17)) | 1 | (1 << 16)) for _ in range(8))
     )
     t = build_trellis(polys, 3)
-    assert t._bm.dtype == np.uint8
-    assert t._bm.nbytes == 1 << 25
+    assert t._t1.dtype == t._t2.dtype == np.int32
+    assert t._t1.nbytes + t._t2.nbytes == 1 << 28
     received = BitVec.random(t.n * t.segments, rng)
     res = viterbi_decode(t, received)
     assert res.error_weight == brute_force_min_distance(received, polys, 3)
 
 
+def unpack_survivors(t, packed):
+    """Survivor bits in (segment, state) order from the packed rows.
+
+    Segments 0 .. 2 floor(K/2) - 1 run in pairs when p >= 2. A first stage
+    and a single step store state 2m + b at bit b * 2^(p-1) + m; a second
+    stage stores state 4l + 2b1 + b2 at bit b1 * 2^(p-1) + b2 * 2^(p-2) + l.
+    """
+    ns = t.num_states
+    bits = np.unpackbits(packed, axis=1, count=ns, bitorder="little").astype(bool)
+    out = bits.reshape(-1, 2, ns // 2).transpose(0, 2, 1).reshape(-1, ns)
+    if t.p >= 2:
+        second = np.arange(1, t.K - t.K % 2, 2)
+        out[second] = bits[second].reshape(-1, 2, 2, ns // 4).transpose(0, 3, 1, 2).reshape(-1, ns)
+    return out
+
+
 def test_forward_pass_matches_reference(desk):
     rng = np.random.default_rng(23)
-    cases = [(GP, 8), (desk.g_p, 40)] + [(random_code(rng), 6) for _ in range(10)]
+    cases = [(GP, 8), (GP, 9), (desk.g_p, 40), (desk.g_p, 41)]
+    cases += [(random_code(rng), 6) for _ in range(10)]
+    cases += [(random_code(rng, p=p), k) for p in (1, 2, 3) for k in (5, 6)]
     for polys, k in cases:
         t = build_trellis(polys, k)
         for _ in range(3):
@@ -154,7 +173,28 @@ def test_forward_pass_matches_reference(desk):
             pm, survivors = _forward_pass(t, rsyms, t.n * t.segments, {})
             ref_pm, ref_survivors, _ = reference_forward_pass(t, rsyms)
             assert np.array_equal(pm, ref_pm)
-            assert np.array_equal(survivors, ref_survivors)
+            assert np.array_equal(unpack_survivors(t, survivors), ref_survivors)
+
+
+def test_bounded_pass_stops_after_a_first_stage(desk):
+    # an even segment ends the first stage of a pair; a check there reads
+    # the metrics between the two stages, and its lower bound keeps
+    # viterbi_decode's contract: bound < lower bound <= weight
+    rng = np.random.default_rng(41)
+    for polys, k in ((GP, 40), (desk.g_p, 41)):
+        t = build_trellis(polys, k)
+        for received in noisy_words(t, polys, rng):
+            rsyms = _bits_to_symbols(received, t.n)
+            weight = viterbi_decode(t, received).error_weight
+            _, _, history = reference_forward_pass(t, rsyms)
+            for seg in (10, 20):
+                tail = int(_syndrome_bounds(t, received, np.array([seg]))[1])
+                reached = int(history[seg + 1].min()) + tail
+                pm, survivors = _forward_pass(t, rsyms, reached - 1, {seg: tail})
+                assert survivors is None
+                assert int(pm.min()) == reached <= weight
+                _, survivors = _forward_pass(t, rsyms, reached, {seg: tail})
+                assert survivors is not None
 
 
 def test_bounded_decode_is_exact_or_a_lower_bound(desk):
