@@ -141,6 +141,8 @@ def _cmd_encrypt(args) -> int:
             raise _InputError(f"--inject-errors: {exc}") from exc
         if any(not 0 <= p < pub.params.N for p in positions):
             raise _InputError("injected error position out of range")
+        if len(set(positions)) != len(positions):
+            raise _InputError("injected error position repeated")
         error = BitVec.from_indices(pub.params.N, positions)
     seed = _resolve_seed(args.seed, sys.stdout)
     ct = cryptopipe.encrypt(pub, m, np.random.default_rng(seed), error=error)

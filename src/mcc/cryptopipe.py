@@ -3,20 +3,20 @@
 Encryption appends a CRC, multiplies by the public matrix and flips each
 ciphertext bit independently. Decryption undoes the column permutation and
 tests every unmasking hypothesis (c_tilde minus a span element of the mask
-basis). Stream division is linear, so it runs once on c_tilde and once per
-key on each basis vector, and a Gray-code walk of XORs gives each
-hypothesis's quotient and remainder. Hypotheses are decoded in
-remainder-weight order, and each Viterbi decode stops, or does not start,
-once it can no longer win; the accepted candidate is the same as if every
-hypothesis had been decoded in full. The gate, a weight bound computed
-exactly from the parameters and the divisors, is the first of those decode
-bounds, so no accepted decode is checked against it again.
+basis). Stream division is linear, so it runs once on c_tilde, and a
+Gray-code walk of XORs over the divided basis gives each hypothesis's
+quotient and remainder. Hypotheses are decoded in remainder-weight order,
+and each Viterbi decode stops, or does not start, once it can no longer
+win; the accepted candidate is the same as if every hypothesis had been
+decoded in full. The gate is the first of those bounds, so no accepted
+decode is checked against it again. PrivateKey.decoder derives the divided
+basis, the gate and the trellis from the key, once per key object.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -24,8 +24,10 @@ from .analysis import estimate_alpha
 from .bitlinalg import BitVec, mat_vec_mul, permute
 from .convcode import CodeParams, PolyGenMatrix, deinterleave, interleave
 from .gf2poly import BinPoly, crc_append, crc_verify, poly_divmod
-from .keyring import PrivateKey, PublicKey
-from .trellis import build_trellis, viterbi_decode
+from .trellis import viterbi_decode
+
+if TYPE_CHECKING:
+    from .keyring import PrivateKey, PublicKey
 
 
 class DecryptionFailure(Exception):
@@ -124,11 +126,11 @@ def _divide_hypotheses(c_tilde: BitVec, priv: PrivateKey) -> tuple[list[BitVec],
     """Quotient and remainder weight of every hypothesis, by mask index.
 
     Division is linear, so c_tilde is divided here, the l basis vectors once
-    per key (PrivateKey.divided_basis), and the 2^l hypotheses follow the
+    per key (PrivateKey.decoder), and the 2^l hypotheses follow the
     Gray-code walk of enumerate_candidates.
     """
     q0, r0 = invert_highmem(c_tilde, priv.g_q, priv.params)
-    divided = priv.divided_basis
+    _, _, divided = priv.decoder
     quotients = list(enumerate_candidates(q0, [q for q, _ in divided]))
     rem_weights = [r.bit_count() for r in enumerate_candidates(r0, [r for _, r in divided])]
     return quotients, rem_weights
@@ -146,13 +148,9 @@ def decrypt(priv: PrivateKey, pub: PublicKey, ct: BitVec) -> BitVec:
     a lower bound, and one that finishes has weight at most its bound, so
     every finished decode has passed the gate.
     """
-    params = priv.params
-    if ct.n != params.N:
-        raise ValueError("ciphertext length mismatch")
-    c_tilde = permute(ct, priv.perm, inverse=True)
+    c_tilde = permute(ct, priv.perm, inverse=True)  # raises ValueError unless ct.n == N
     quotients, rem_weights = _divide_hypotheses(c_tilde, priv)
-    trellis = build_trellis(priv.g_p, params.K)
-    gate_bound = candidate_gate(params, priv.g_q)
+    trellis, gate_bound, _ = priv.decoder
     weights = [0] * len(quotients)
     lower_bound = [False] * len(quotients)
     best = None  # (error weight, mask index, m_r) of the accepted candidate
@@ -167,9 +165,9 @@ def decrypt(priv: PrivateKey, pub: PublicKey, ct: BitVec) -> BitVec:
             lower_bound[i] = True
             continue
         m_r = mat_vec_mul(decode.info, priv.s_inv)
-        if not crc_verify(m_r, params.r_poly):
+        if not crc_verify(m_r, priv.params.r_poly):
             continue
         best = (decode.error_weight, i, m_r)
     if best is None:
         raise DecryptionFailure(weights, lower_bound)
-    return BitVec.from_bits(best[2].to_bits()[: params.plaintext_len])
+    return BitVec.from_bits(best[2].to_bits()[: priv.params.plaintext_len])

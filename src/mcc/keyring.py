@@ -5,6 +5,7 @@ permutation. The mask rows are drawn from the span of a small independent
 basis, so unmasking during decryption only has to test 2^l hypotheses.
 A private key holds only what decryption reads: the polynomials, S^-1, the
 permutation and the mask basis. S and the mask matrix exist only in keygen.
+PrivateKey.decoder derives what decryption needs from them, once per key.
 """
 
 from __future__ import annotations
@@ -30,7 +31,9 @@ from .bitlinalg import (
     random_permutation,
 )
 from .convcode import MAX_MASK_RANK, CodeParams, PolyGenMatrix, expand_scalar
+from .cryptopipe import candidate_gate, invert_highmem
 from .gf2poly import BinPoly
+from .trellis import Trellis, build_trellis
 
 _MAGIC = b"MCC1"
 _VERSION = 2
@@ -87,16 +90,15 @@ class PrivateKey:
     mask_basis: MaskBasis
 
     @cached_property
-    def divided_basis(self) -> tuple[tuple[BitVec, int], ...]:
-        """invert_highmem of each mask-basis vector, derived on first use.
+    def decoder(self) -> tuple[Trellis, int, tuple[tuple[BitVec, int], ...]]:
+        """(build_trellis, candidate_gate, invert_highmem of each basis vector).
 
-        They depend only on the key, so decryption divides them once per key
-        object; they are neither fields nor part of the key file.
+        They depend only on the key, so decryption derives them on first use,
+        once per key object; they are neither fields nor part of the key file.
         """
-        # cryptopipe imports this module
-        from .cryptopipe import invert_highmem
-
-        return tuple(invert_highmem(v, self.g_q, self.params) for v in self.mask_basis.vectors)
+        params, g_q = self.params, self.g_q
+        divided = tuple(invert_highmem(v, g_q, params) for v in self.mask_basis.vectors)
+        return build_trellis(self.g_p, params.K), candidate_gate(params, g_q), divided
 
 
 @dataclass(frozen=True)

@@ -82,6 +82,8 @@ class Trellis:
         self.segments = K + p
         # segments decoded two at a time: every pair before the zero tail
         self._paired = K & ~1 if p >= 2 else 0
+        self._bound_checks = np.r_[_BOUND_INTERVAL - 1 : K + p - 1 : _BOUND_INTERVAL, K + p - 1]
+        self._gen_weights = np.array([g.weight for g in polys.polys], dtype=np.int64)
         out = _window_symbols(polys)
         syms = np.arange(1 << self.n, dtype=np.uint8)
         # bm[r, h, m, b] is the metric of predecessor h * half + m on input b
@@ -149,7 +151,7 @@ def _syndrome_bounds(trellis: Trellis, received: BitVec, after: np.ndarray) -> n
     # suffix[:, k] counts the nonzero coefficients k and above
     suffix = np.cumsum(bits[:, ::-1], axis=1, dtype=np.int64)[:, ::-1]
     counts = suffix[:, np.concatenate([[0], after + 1 + p])]
-    w = np.array([g.weight for g in polys], dtype=np.int64)
+    w = trellis._gen_weights
     lb = -(-counts.sum(axis=0) // w[0])
     for b in range(n - 1):
         scaled = counts[b] * w[0] + np.maximum(
@@ -235,12 +237,10 @@ def viterbi_decode(
         raise ValueError("received length does not match the trellis")
     if bound is None:
         bound = received.n
-    last = trellis.segments - 1
-    checks = np.r_[_BOUND_INTERVAL - 1 : last : _BOUND_INTERVAL, last]
-    lb = _syndrome_bounds(trellis, received, checks)
+    lb = _syndrome_bounds(trellis, received, trellis._bound_checks)
     if lb[0] > bound:
         return DecodeResult(None, int(lb[0]))
-    tail_lb = dict(zip(checks.tolist(), lb[1:].tolist()))
+    tail_lb = dict(zip(trellis._bound_checks.tolist(), lb[1:].tolist()))
     rsyms = _bits_to_symbols(received, trellis.n)
     pm, survivors = _forward_pass(trellis, rsyms, bound, tail_lb)
     if survivors is None:

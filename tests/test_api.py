@@ -112,3 +112,38 @@ def test_no_module_imports_a_name_it_never_uses():
         if (names := unused_imports(path.read_text()))
     }
     assert unused == {}
+
+
+def nested_imports(source: str) -> list[int]:
+    """Lines of the imports inside a function or class.
+
+    A module-level ``if TYPE_CHECKING:`` block counts as module level.
+    """
+    tree = ast.parse(source)
+    top = list(tree.body)
+    for node in tree.body:
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Name):
+            if node.test.id == "TYPE_CHECKING":
+                top += node.body
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in top
+    ]
+
+
+def test_nested_import_guard_sees_function_and_class_imports():
+    source = (
+        "import os\nif TYPE_CHECKING:\n    from .a import B\n"
+        "def f():\n    import sys\nclass C:\n    from .b import d\n"
+    )
+    assert nested_imports(source) == [5, 7]
+
+
+def test_no_module_imports_inside_a_function_or_class():
+    nested = {
+        path.name: lines
+        for path in sorted(SRC.glob("*.py"))
+        if (lines := nested_imports(path.read_text()))
+    }
+    assert nested == {}

@@ -399,6 +399,13 @@ def test_exit_code_malformed_inputs(tmp_path, demo):
     )
     assert code == 2, err
     assert err.startswith("error: ")
+    # a repeated injected error position, which would inject one error
+    code, _, err = run_cli(
+        "encrypt", "--pub", str(pub), "--in", str(msg), "--out", str(tmp_path / "c"),
+        "--inject-errors", "3,3",
+    )
+    assert code == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
     code, _, err = run_cli(
         "encrypt", "--pub", str(pub), "--in", str(msg), "--out", str(tmp_path / "c"),
         "--seed", "-1",

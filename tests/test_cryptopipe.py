@@ -1,4 +1,6 @@
 import hashlib
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -16,8 +18,16 @@ from mcc.cryptopipe import (
     invert_highmem,
 )
 from mcc.gf2poly import BinPoly, poly_divmod
-from mcc.keyring import KeyFormatError, deserialize_ciphertext, serialize_ciphertext
+from mcc.keyring import (
+    KeyFormatError,
+    deserialize_ciphertext,
+    deserialize_key,
+    keygen,
+    serialize_ciphertext,
+    serialize_key,
+)
 from mcc.presets import load_preset
+from mcc.trellis import build_trellis
 from oracles import reference_decrypt, reference_outcomes, span_contains, span_element_for_index
 
 STREAM0_POLY = BinPoly.from_exponents([7, 10, 14])
@@ -64,6 +74,13 @@ def test_encrypt_length_check(demo_keys):
     pub, _ = demo_keys
     with pytest.raises(ValueError):
         encrypt(pub, BitVec.zeros(5), np.random.default_rng(0))
+
+
+def test_decrypt_length_check(demo_keys):
+    pub, priv = demo_keys
+    ct = encrypt(pub, BitVec.zeros(pub.params.plaintext_len), np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        decrypt(priv, pub, BitVec.from_bits(np.append(ct.to_bits(), 0)))
 
 
 def test_enumerate_candidates_gray_order(demo, demo_keys):
@@ -246,6 +263,45 @@ def test_decrypt_matches_reference_pipeline(demo, demo_keys, desk_keys):
     for (pub, priv), ct in cases:
         kinds.add(_assert_matches_reference(priv, pub, ct))
     assert kinds == {"plaintext", "failure"}
+
+
+def test_decoder_is_derived_once_per_key_object(desk, monkeypatch):
+    # a fresh key pair, so no earlier test has derived its decoder
+    pub, priv = keygen(desk.params, desk.g_p, desk.g_q, np.random.default_rng(41))
+    calls = Counter()
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    # wrapped in every namespace that holds them, as perfbench/tracer.py does
+    originals = {fn.__name__: fn for fn in (build_trellis, candidate_gate, invert_highmem)}
+    wrappers = {name: counted(fn) for name, fn in originals.items()}
+    for modname, module in list(sys.modules.items()):
+        if modname == "mcc" or modname.startswith("mcc."):
+            for name, fn in originals.items():
+                if vars(module).get(name) is fn:
+                    monkeypatch.setattr(module, name, wrappers[name])
+    rng = np.random.default_rng(43)
+    cts = [encrypt(pub, BitVec.random(pub.params.plaintext_len, rng), rng) for _ in range(3)]
+
+    def outcomes(key):
+        calls.clear()
+        out = []
+        for ct in cts:
+            kind, got = _decrypt_outcome(decrypt, key, pub, ct)
+            out.append((kind, got.to_bytes() if kind == "plaintext" else got.weights_text()))
+        # one trellis and one gate per key object; l basis vectors plus one
+        # ciphertext per decrypt divided
+        want = {"build_trellis": 1, "candidate_gate": 1, "invert_highmem": key.mask_basis.l + 3}
+        assert calls == want
+        return out
+
+    first = outcomes(priv)
+    assert outcomes(deserialize_key(serialize_key(priv))) == first
 
 
 def test_decrypt_determinism(desk_keys):
