@@ -1,20 +1,17 @@
 """Bit-packed GF(2) vectors, dense matrices and permutations.
 
-Bit i of a vector lives in word i // 64 at bit position i % 64 (little
-endian within machine words). Matrices are row-major, every row padded with
-zero bits up to a word boundary, so XOR and popcount kernels operate on
-whole uint64 words. All values are immutable after construction and safe to
-share across threads.
-
-The byte form of a bit string, which files and integers use, is owned here:
-bit i in byte i // 8 at bit position i % 8, a matrix row cut to
+Every bit string has one packed form, used in memory, in files and for
+integers: bit i in byte i // 8 at bit position i % 8, a matrix row cut to
 (cols + 7) // 8 bytes, and the padding bits of the last byte zero, so every
-value has exactly one byte form.
+value has exactly one byte form. The constructors own that rule: they adopt
+the uint8 array they are given without a copy, make it read-only and refuse
+a set padding bit, so all values are immutable and safe to share across
+threads.
 
 Elimination and multiplication use Four Russians tables (Arlazarov et al.;
 M4RI's elimination, Albrecht, Bard & Hart, ACM TOMS 2010): up to 8 pivot
 rows or rows of the right factor are combined into a table of all 2^8 XOR
-sums, and one gather-and-XOR indexed by 8 bits of every other row applies
+sums, and one gather-and-XOR indexed by one byte of every other row applies
 it, so each table replaces 8 one-row passes over the matrix.
 """
 
@@ -24,10 +21,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-_WORD = 64
-_ONE = np.uint64(1)
-# columns per elimination block and rows per multiplication table
+# columns per elimination block (one byte) and rows per multiplication table
 _BLOCK = 8
+# columns between the drops of finished rows and columns in rank
+_DROP_COLS = 256
 # nonzero rows tried for a block's pivots before the exact distinct-value search
 _PIVOT_PROBE = 64
 # rows unpacked at a time when permuting columns, which bounds the dense copy
@@ -36,60 +33,41 @@ _PERMUTE_ROWS = 256
 _NONSINGULAR_TRIES = 256
 
 
-def _num_words(nbits: int) -> int:
-    return (nbits + _WORD - 1) // _WORD
+def _num_bytes(nbits: int) -> int:
+    return (nbits + 7) // 8
 
 
-def _to_bytes(words: np.ndarray, nbits: int) -> np.ndarray:
-    """Byte form of packed words along the last axis: a view, (nbits + 7) // 8 bytes each."""
-    return words.astype("<u8", copy=False).view(np.uint8)[..., : (nbits + 7) // 8]
-
-
-def _from_bytes(by: np.ndarray, nbits: int) -> np.ndarray:
-    """Packed words of a byte form along the last axis; its padding bits must be zero."""
-    if by.shape[-1] != (nbits + 7) // 8:
-        raise ValueError(f"expected {(nbits + 7) // 8} bytes for {nbits} bits")
-    if nbits % 8 and (by[..., -1] >> (nbits % 8)).any():
+def _adopt(data, shape: tuple[int, ...], nbits: int) -> np.ndarray:
+    """The packed array ``data`` made read-only, refused unless its bits above nbits are zero."""
+    data = np.asarray(data, dtype=np.uint8)
+    if data.shape != shape:
+        raise ValueError(f"expected packed shape {shape}, got {data.shape}")
+    if nbits % 8 and (data[..., -1] >> (nbits % 8)).any():
         raise ValueError("nonzero padding bits")
-    words = np.zeros(by.shape[:-1] + (_num_words(nbits),), dtype="<u8")
-    words.view(np.uint8)[..., : by.shape[-1]] = by
-    return words
+    data.flags.writeable = False
+    return data
 
 
 def _pack(bits: np.ndarray) -> np.ndarray:
-    """Pack a 0/1 array along its last axis into little-endian uint64 words."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    return _from_bytes(np.packbits(bits, axis=-1, bitorder="little"), bits.shape[-1])
+    return np.packbits(bits, axis=-1, bitorder="little")
 
 
-def _unpack(words: np.ndarray, nbits: int) -> np.ndarray:
-    return np.unpackbits(_to_bytes(words, nbits), axis=-1, bitorder="little")[..., :nbits]
-
-
-def _mask_tail(words: np.ndarray, nbits: int) -> None:
-    rem = nbits % _WORD
-    if rem and words.shape[-1]:
-        words[..., -1] &= np.uint64((1 << rem) - 1)
+def _unpack(data: np.ndarray, nbits: int) -> np.ndarray:
+    return np.unpackbits(data, axis=-1, count=nbits, bitorder="little")
 
 
 class BitVec:
-    """Immutable packed binary vector; storage beyond ``n`` is zero."""
+    """Immutable packed binary vector; its padding bits are zero."""
 
-    __slots__ = ("n", "words")
+    __slots__ = ("n", "data")
 
-    def __init__(self, n: int, words: np.ndarray | None = None):
+    def __init__(self, n: int, data: np.ndarray | None = None):
         if n < 0:
             raise ValueError("negative length")
-        if words is None:
-            words = np.zeros(_num_words(n), dtype=np.uint64)
-        else:
-            words = np.array(words, dtype=np.uint64)
-            if words.shape != (_num_words(n),):
-                raise ValueError("word count does not match length")
-            _mask_tail(words, n)
-        words.flags.writeable = False
+        if data is None:
+            data = np.zeros(_num_bytes(n), dtype=np.uint8)
         self.n = n
-        self.words = words
+        self.data = _adopt(data, (_num_bytes(n),), n)
 
     @classmethod
     def zeros(cls, n: int) -> "BitVec":
@@ -119,15 +97,15 @@ class BitVec:
 
     @classmethod
     def from_bytes(cls, n: int, data) -> "BitVec":
-        """Inverse of to_bytes: exactly (n + 7) // 8 bytes, padding bits zero."""
-        return cls(n, _from_bytes(np.frombuffer(data, dtype=np.uint8), n))
+        """Inverse of to_bytes: a copy of exactly (n + 7) // 8 bytes, padding bits zero."""
+        return cls(n, np.frombuffer(data, dtype=np.uint8).copy())
 
     @classmethod
     def from_int(cls, n: int, value: int) -> "BitVec":
         """Bit i of ``value`` becomes element i; bits at or above n must be zero."""
         if value < 0 or value.bit_length() > n:
             raise ValueError("integer does not fit the requested length")
-        return cls.from_bytes(n, value.to_bytes((n + 7) // 8, "little"))
+        return cls.from_bytes(n, value.to_bytes(_num_bytes(n), "little"))
 
     @classmethod
     def random(cls, n: int, rng: np.random.Generator) -> "BitVec":
@@ -138,11 +116,11 @@ class BitVec:
         return cls.from_bits((rng.random(n) < p).astype(np.uint8))
 
     def to_bits(self) -> np.ndarray:
-        return _unpack(self.words, self.n)
+        return _unpack(self.data, self.n)
 
     def to_bytes(self) -> bytes:
         """Bit i in byte i // 8 at bit i % 8; the padding bits are zero."""
-        return _to_bytes(self.words, self.n).tobytes()
+        return self.data.tobytes()
 
     def to_int(self) -> int:
         return int.from_bytes(self.to_bytes(), "little")
@@ -154,12 +132,12 @@ class BitVec:
         return np.nonzero(self.to_bits())[0]
 
     def weight(self) -> int:
-        return int(np.bitwise_count(self.words).sum())
+        return self.to_int().bit_count()
 
     def __xor__(self, other: "BitVec") -> "BitVec":
         if self.n != other.n:
             raise ValueError("length mismatch")
-        return BitVec(self.n, self.words ^ other.words)
+        return BitVec(self.n, self.data ^ other.data)
 
     def __len__(self) -> int:
         return self.n
@@ -167,17 +145,15 @@ class BitVec:
     def __getitem__(self, i: int) -> int:
         if not 0 <= i < self.n:
             raise IndexError(i)
-        return int((self.words[i >> 6] >> np.uint64(i & 63)) & _ONE)
+        return (int(self.data[i >> 3]) >> (i & 7)) & 1
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, BitVec)
-            and self.n == other.n
-            and bool(np.array_equal(self.words, other.words))
+            isinstance(other, BitVec) and self.n == other.n and self.to_bytes() == other.to_bytes()
         )
 
     def __hash__(self):
-        return hash((self.n, self.words.tobytes()))
+        return hash((self.n, self.data.tobytes()))
 
     def __repr__(self) -> str:
         s = self.to01()
@@ -195,16 +171,10 @@ class MatF2:
         if rows < 0 or cols < 0:
             raise ValueError("negative dimension")
         if data is None:
-            data = np.zeros((rows, _num_words(cols)), dtype=np.uint64)
-        else:
-            data = np.array(data, dtype=np.uint64)
-            if data.shape != (rows, _num_words(cols)):
-                raise ValueError("data shape does not match dimensions")
-            _mask_tail(data, cols)
-        data.flags.writeable = False
+            data = np.zeros((rows, _num_bytes(cols)), dtype=np.uint8)
         self.rows = rows
         self.cols = cols
-        self.data = data
+        self.data = _adopt(data, (rows, _num_bytes(cols)), cols)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "MatF2":
@@ -228,16 +198,16 @@ class MatF2:
         n = rows[0].n
         if any(r.n != n for r in rows):
             raise ValueError("ragged rows")
-        return cls(len(rows), n, np.stack([r.words for r in rows]))
+        return cls(len(rows), n, np.stack([r.data for r in rows]))
 
     @classmethod
     def from_row_bytes(cls, rows: int, cols: int, data) -> "MatF2":
-        """Inverse of row_bytes: rows * ((cols + 7) // 8) bytes, padding bits zero."""
-        stride = (cols + 7) // 8
+        """Inverse of row_bytes: a copy of rows * ((cols + 7) // 8) bytes, padding bits zero."""
+        stride = _num_bytes(cols)
         by = np.frombuffer(data, dtype=np.uint8)
         if by.size != rows * stride:
             raise ValueError(f"expected {rows} rows of {stride} bytes")
-        return cls(rows, cols, _from_bytes(by.reshape(rows, stride), cols))
+        return cls(rows, cols, by.reshape(rows, stride).copy())
 
     @classmethod
     def from_bitstrings(cls, strings: Iterable[str]) -> "MatF2":
@@ -252,7 +222,7 @@ class MatF2:
 
     def row_bytes(self) -> bytes:
         """The rows' byte forms (see BitVec.to_bytes), concatenated."""
-        return _to_bytes(self.data, self.cols).tobytes()
+        return self.data.tobytes()
 
     def to_bits(self) -> np.ndarray:
         return _unpack(self.data, self.cols)
@@ -328,7 +298,7 @@ def mat_add(a: MatF2, b: MatF2) -> MatF2:
 
 def _combinations(rows: np.ndarray) -> np.ndarray:
     """Table whose entry j is the XOR of the rows picked by the bits of j."""
-    table = np.zeros((1 << rows.shape[0], rows.shape[1]), dtype=np.uint64)
+    table = np.zeros((1 << rows.shape[0], rows.shape[1]), dtype=np.uint8)
     for i, row in enumerate(rows):
         np.bitwise_xor(table[: 1 << i], row, out=table[1 << i : 2 << i])
     return table
@@ -337,11 +307,10 @@ def _combinations(rows: np.ndarray) -> np.ndarray:
 def mat_mul(a: MatF2, b: MatF2) -> MatF2:
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.shape} times {b.shape}")
-    out = np.zeros((a.rows, b.data.shape[1]), dtype=np.uint64)
+    out = np.zeros((a.rows, b.data.shape[1]), dtype=np.uint8)
     # byte g of a packed row holds its columns 8g .. 8g + 7
-    abytes = a.data.view(np.uint8)
     for g in range(0, b.rows, _BLOCK):
-        out ^= _combinations(b.data[g : g + _BLOCK])[abytes[:, g // _BLOCK]]
+        out ^= np.take(_combinations(b.data[g : g + _BLOCK]), a.data[:, g // _BLOCK], axis=0)
     return MatF2(a.rows, b.cols, out)
 
 
@@ -391,35 +360,39 @@ def _block_pivots(vals: np.ndarray, width: int) -> tuple[list[int], list[int], l
 def _eliminate(work: np.ndarray, ncols: int, reduce_above: bool) -> int:
     """Table-driven Gaussian elimination on packed rows over the first ncols columns.
 
-    Columns go in blocks of up to 8 inside one word. The block's pivot rows
-    are moved to the top of the unreduced rows and reduced on the pivot bits;
-    a table holds, for every value of the block's bits, the XOR of the pivot
-    rows that clears it, and one gather-and-XOR clears the block from every
-    other row. With ``reduce_above`` the pivot rows end in column order and
-    every row is reduced, in place; otherwise only rows below are, and
-    finished rows, zero rows and words left of the block are dropped as the
-    elimination goes, so only the returned rank is meaningful.
+    Columns go in blocks of up to 8, one byte column each. The block's pivot
+    rows are moved to the top of the unreduced rows and reduced on the pivot
+    bits; a table holds, for every value of the block's byte, the XOR of the
+    pivot rows that clears it, and one gather-and-XOR clears the block from
+    every other row. With ``reduce_above`` the pivot rows end in column order
+    and every row is reduced, in place; otherwise only rows below are, and
+    every _DROP_COLS columns the finished rows, zero rows and bytes left of
+    the block are dropped, so only the returned rank is meaningful.
     """
     done = 0  # pivot rows dropped from work
     top = 0  # rows of work above top are pivot rows
-    dropped = 0  # words dropped from the left of work
+    dropped = 0  # bytes dropped from the left of work
     for c0 in range(0, ncols, _BLOCK):
-        w, sh = divmod(c0, _WORD)
-        if not reduce_above and sh == 0 and c0:
-            rest = work[top:, w - dropped :]
+        b = c0 // _BLOCK
+        if not reduce_above and c0 % _DROP_COLS == 0 and c0:
+            rest = work[top:, b - dropped :]
             work = rest[rest.any(axis=1)]
-            done, top, dropped = done + top, 0, w
+            done, top, dropped = done + top, 0, b
         if top == work.shape[0]:
             break
-        w -= dropped
+        b -= dropped
         width = min(_BLOCK, ncols - c0)
-        vals = (work[:, w] >> np.uint64(sh)) & np.uint64((1 << width) - 1)
+        # bits of the block above ncols are padding, so zero
+        vals = work[:, b].copy()
         picked, bits, combs = _block_pivots(vals[top:], width)
         r = len(picked)
         if not r:
             continue
         rows = [top + i for i in picked]
-        piv = _combinations(work[rows, w:])[combs]
+        # the pivot rows, picked below top, are zero left of the block, so the
+        # slices can start on the 8-byte boundary below it, which measured faster
+        b -= b % 8
+        piv = _combinations(work[rows, b:])[combs]
         # swap the rows that sat at top .. top + r - 1 into the picked places
         head = range(top, top + r)
         free = [i for i in rows if i not in head]
@@ -427,14 +400,14 @@ def _eliminate(work: np.ndarray, ncols: int, reduce_above: bool) -> int:
             displaced = [i for i in head if i not in rows]
             work[free] = work[displaced]
             vals[free] = vals[displaced]
-        work[top : top + r, w:] = piv
+        work[top : top + r, b:] = piv
         vals[top : top + r] = 0
         # indexed by the block value; non-pivot bits pick the zero row
-        by_bit = np.zeros((width, piv.shape[1]), dtype=np.uint64)
+        by_bit = np.zeros((width, piv.shape[1]), dtype=np.uint8)
         by_bit[bits] = piv
         table = _combinations(by_bit)
         start = 0 if reduce_above else top + r
-        work[start:, w:] ^= table[vals[start:]]
+        work[start:, b:] ^= np.take(table, vals[start:], axis=0)
         top += r
     return done + top
 
@@ -449,16 +422,16 @@ def rank_invert(m: MatF2) -> tuple[int, MatF2 | None]:
     if m.rows != m.cols:
         raise ValueError("matrix is not square")
     k = m.rows
-    nw = m.data.shape[1]
-    # [A | I] with I starting on a word boundary, reduced to [I | A^-1]
-    work = np.zeros((k, 2 * nw), dtype=np.uint64)
-    work[:, :nw] = m.data
+    nb = m.data.shape[1]
+    # [A | I] with I starting on a byte boundary, reduced to [I | A^-1]
+    work = np.zeros((k, 2 * nb), dtype=np.uint8)
+    work[:, :nb] = m.data
     i = np.arange(k)
-    work[i, nw + (i >> 6)] = _ONE << (i & 63).astype(np.uint64)
+    work[i, nb + (i >> 3)] = 1 << (i & 7)
     r = _eliminate(work, k, reduce_above=True)
     if r < k:
         return r, None
-    return k, MatF2(k, k, work[:, nw:])
+    return k, MatF2(k, k, work[:, nb:].copy())
 
 
 def random_nonsingular(k: int, rng: np.random.Generator) -> MatF2:

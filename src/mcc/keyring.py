@@ -125,7 +125,7 @@ class KeyMaterial:
         ):
             raise ValueError("injected material does not match the parameters")
         # the basis is independent, so a row outside its span raises the rank
-        rows = np.vstack([*(v.words for v in self.mask_basis.vectors), self.mask_matrix.data])
+        rows = np.vstack([*(v.data for v in self.mask_basis.vectors), self.mask_matrix.data])
         if rank(MatF2(len(rows), params.N, rows)) != self.mask_basis.l:
             raise ValueError("injected mask rows are not in the span of the mask basis")
 

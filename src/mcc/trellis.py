@@ -116,8 +116,7 @@ def build_trellis(polys: PolyGenMatrix, K: int) -> Trellis:
 
 
 def _bits_to_symbols(v: BitVec, n: int) -> np.ndarray:
-    bits = v.to_bits().reshape(-1, n)
-    return (bits << np.arange(n, dtype=np.uint8)).sum(axis=1).astype(np.uint8)
+    return np.packbits(v.to_bits().reshape(-1, n), axis=1, bitorder="little").ravel()
 
 
 def _syndrome_bounds(trellis: Trellis, received: BitVec, after: np.ndarray) -> np.ndarray:

@@ -77,26 +77,23 @@ def span_element_for_index(basis: MaskBasis, index: int, n: int) -> BitVec:
 
 
 def _reference_eliminate(work: np.ndarray, ncols: int, reduce_above: bool) -> int:
-    """In-place Gaussian elimination on packed rows, one column at a time.
+    """In-place Gaussian elimination on a dense 0/1 matrix, one column at a time.
 
     Pivot choice is the lowest row index with a 1 in the pivot column.
     Returns the rank.
     """
-    one = np.uint64(1)
     nrows = work.shape[0]
     r = 0
     for col in range(ncols):
         if r == nrows:
             break
-        w = col >> 6
-        sh = np.uint64(col & 63)
-        nz = np.nonzero((work[r:, w] >> sh) & one)[0]
+        nz = np.nonzero(work[r:, col])[0]
         if nz.size == 0:
             continue
         piv = r + int(nz[0])
         if piv != r:
             work[[r, piv]] = work[[piv, r]]
-        sel = ((work[:, w] >> sh) & one).astype(bool)
+        sel = work[:, col].astype(bool)
         sel[r] = False
         if not reduce_above:
             sel[:r] = False
@@ -106,18 +103,17 @@ def _reference_eliminate(work: np.ndarray, ncols: int, reduce_above: bool) -> in
 
 
 def reference_rank(m: MatF2) -> int:
-    return _reference_eliminate(m.data.copy(), m.cols, reduce_above=False)
+    return _reference_eliminate(m.to_bits(), m.cols, reduce_above=False)
 
 
 def reference_rank_invert(m: MatF2) -> tuple[int, MatF2 | None]:
     """Gauss-Jordan on the dense [A | I], column by column."""
     k = m.rows
-    aug = MatF2.from_bits(np.hstack([m.to_bits(), np.eye(k, dtype=np.uint8)]))
-    work = aug.data.copy()
+    work = np.hstack([m.to_bits(), np.eye(k, dtype=np.uint8)])
     r = _reference_eliminate(work, k, reduce_above=True)
     if r < k:
         return r, None
-    return k, MatF2.from_bits(MatF2(k, 2 * k, work).to_bits()[:, k:])
+    return k, MatF2.from_bits(work[:, k:])
 
 
 def reference_mat_mul(a: MatF2, b: MatF2) -> MatF2:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -61,11 +63,40 @@ def test_bit_strings_hold_only_0_and_1():
 
 
 def test_bitvec_canonical_padding():
-    # stray bits above the length must never leak in
-    v = BitVec(3, np.array([0xFF], dtype=np.uint64))
-    assert v.to01() == "111"
-    assert v == BitVec.from01("111")
-    assert v.weight() == 3
+    # stray bits above the length must never leak in: the constructors,
+    # which adopt packed storage, refuse them rather than mask them
+    with pytest.raises(ValueError, match="padding"):
+        BitVec(3, [0xFF])
+    assert BitVec(3, [0x07]) == BitVec.from01("111")
+    data = np.zeros((3, 1), dtype=np.uint8)
+    data[1, 0] = 0x20
+    with pytest.raises(ValueError, match="padding"):
+        MatF2(3, 5, data)
+    data[1, 0] = 0x10
+    assert MatF2(3, 5, data) == MatF2.from_bitstrings(["00000", "00001", "00000"])
+
+
+def test_from_bytes_copies_the_callers_buffer():
+    raw = bytearray(b"\x0f\xf0\x01")
+    v = BitVec.from_bytes(17, raw)
+    m = MatF2.from_row_bytes(1, 17, raw)
+    raw[:] = b"\x00\x00\x00"
+    assert v.to_bytes() == m.row_bytes() == b"\x0f\xf0\x01"
+    assert v.weight() == 9 and m.row(0) == v
+
+
+def test_matrix_parse_holds_one_copy_of_the_payload():
+    # a bench-b-sized public matrix: its byte form is the storage, so a
+    # parse allocates the payload once
+    rows, cols = 1508, 10032
+    raw = np.random.default_rng(0).integers(0, 256, rows * cols // 8, dtype=np.uint8).tobytes()
+    tracemalloc.start()
+    try:
+        MatF2.from_row_bytes(rows, cols, raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * len(raw), (peak, len(raw))
 
 
 def test_bitvec_int_round_trip():

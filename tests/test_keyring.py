@@ -237,15 +237,36 @@ def _transient_bytes(fn, arg):
     return out, peak - current
 
 
-def test_public_key_file_round_trip_stays_packed():
-    # a bench-b-shaped key; one byte per bit would take K * N bytes
+@pytest.fixture(scope="module")
+def bench_b_shaped_pub():
     params = load_preset("bench-b").params
-    pub = PublicKey(params, MatF2.random(params.K, params.N, np.random.default_rng(0)))
+    return PublicKey(params, MatF2.random(params.K, params.N, np.random.default_rng(0)))
+
+
+def test_public_key_file_round_trip_stays_packed(bench_b_shaped_pub):
+    # one byte per bit would take K * N bytes
+    pub = bench_b_shaped_pub
+    params = pub.params
     blob, save_extra = _transient_bytes(serialize_key, pub)
     back, load_extra = _transient_bytes(deserialize_key, blob)
     assert back == pub
     limit = params.K * params.N // 4
     assert save_extra < limit and load_extra < limit, (save_extra, load_extra, limit)
+
+
+def test_public_key_load_allocates_the_matrix_once(bench_b_shaped_pub):
+    # the file's byte form is the matrix's storage: one copy, no widening
+    blob = serialize_key(bench_b_shaped_pub)
+    params = bench_b_shaped_pub.params
+    payload = params.K * ((params.N + 7) // 8)
+    tracemalloc.start()
+    try:
+        back = deserialize_key(blob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back == bench_b_shaped_pub
+    assert peak <= 1.1 * payload, (peak, payload)
 
 
 def test_deserialize_rejects_garbage(demo_keys):
