@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitlinalg import MatF2, rank
+from .bitlinalg import BitVec, MatF2, rank
 from .convcode import MAX_N, PolyGenMatrix
-from .gf2poly import BinPoly, poly_divmod
+from .gf2poly import poly_divmod
 
 _LOG2_029 = math.log2(0.29)
 # bisection stops once the bracket is this narrow
@@ -60,8 +60,8 @@ def estimate_alpha(g_q: PolyGenMatrix, e: float, stream_len: int) -> tuple[float
         raise ValueError("stream shorter than the divisor degree")
     per_stream = []
     for q_j in g_q.polys:
-        s, _ = poly_divmod(BinPoly.x_pow(stream_len - 1), q_j)
-        bits = s.to_bitvec(stream_len).to_bits()
+        s, _ = poly_divmod(1 << (stream_len - 1), q_j)
+        bits = BitVec.from_int(stream_len, s).to_bits()
         w = np.cumsum(bits[::-1], dtype=np.int64)[::-1][:quot_len]
         per_stream.append(float(np.sum((1.0 - (1.0 - 2.0 * e) ** w) / 2.0)) - e * stream_len)
     return tuple(per_stream)

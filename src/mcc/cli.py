@@ -21,6 +21,7 @@ import numpy as np
 
 from . import analysis, cryptopipe, keyring
 from .bitlinalg import BitVec
+from .convcode import MAX_MASK_RANK, MAX_TRELLIS_MEMORY
 from .keyring import KeyFormatError, PrivateKey, PublicKey
 from .presets import PRESET_NAMES, ParamFileError, load_params, parse_inject_json
 
@@ -182,6 +183,10 @@ def _cmd_analyze(args) -> int:
 
 def _analyze(args) -> None:
     if args.what == "isd":
+        if args.l is not None and not 0 <= args.l <= MAX_MASK_RANK:
+            raise ValueError(f"--l must be in 0..{MAX_MASK_RANK}")
+        if args.p is not None and not 1 <= args.p <= MAX_TRELLIS_MEMORY:
+            raise ValueError(f"--p must be in 1..{MAX_TRELLIS_MEMORY}")
         isd = analysis.isd_log2(args.n, args.k, args.t)
         pairs = [
             ("N", args.n),
@@ -373,7 +378,7 @@ def main(argv=None) -> int:
     except (_InputError, KeyFormatError, ParamFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (ValueError, AssertionError, RuntimeError) as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

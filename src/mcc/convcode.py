@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .bitlinalg import BitVec, MatF2
-from .gf2poly import BinPoly, poly_mul
+from .gf2poly import poly_mul
 
 MAX_MASK_RANK = 20
 MAX_TRELLIS_MEMORY = 16
@@ -31,24 +31,16 @@ MAX_HYPOTHESIS_BITS = 1 << 30
 
 @dataclass(frozen=True)
 class PolyGenMatrix:
-    """One generator polynomial per output stream."""
+    """One generator polynomial per output stream, each a positive int."""
 
-    polys: tuple[BinPoly, ...]
+    polys: tuple[int, ...]
 
     def __post_init__(self):
         if not self.polys:
             raise ValueError("need at least one polynomial")
-        if any(not p.value for p in self.polys):
-            raise ValueError("zero generator polynomial")
+        if any(p <= 0 for p in self.polys):
+            raise ValueError("generator polynomials must be positive")
         object.__setattr__(self, "polys", tuple(self.polys))
-
-    @classmethod
-    def from_exponent_lists(cls, lists) -> "PolyGenMatrix":
-        return cls(tuple(BinPoly.from_exponents(e) for e in lists))
-
-    @classmethod
-    def from_octal(cls, strings) -> "PolyGenMatrix":
-        return cls(tuple(BinPoly.from_octal(s) for s in strings))
 
     @property
     def n(self) -> int:
@@ -56,7 +48,7 @@ class PolyGenMatrix:
 
     @property
     def memory(self) -> int:
-        return max(p.degree for p in self.polys)
+        return max(self.polys).bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -74,7 +66,7 @@ class CodeParams:
     K: int
     l: int
     e: Fraction
-    r_poly: BinPoly
+    r_poly: int
 
     def __post_init__(self):
         if not 1 <= self.n <= MAX_STREAMS:
@@ -95,8 +87,8 @@ class CodeParams:
         if not 0 <= e < 1:
             raise ValueError("e must lie in [0, 1)")
         object.__setattr__(self, "e", e)
-        if not self.r_poly.value:
-            raise ValueError("CRC polynomial must be nonzero")
+        if self.r_poly <= 0:
+            raise ValueError("CRC polynomial must be positive")
         if self.r >= self.K:
             raise ValueError("CRC degree must be smaller than K")
 
@@ -115,7 +107,7 @@ class CodeParams:
 
     @property
     def r(self) -> int:
-        return self.r_poly.degree
+        return self.r_poly.bit_length() - 1
 
     @property
     def plaintext_len(self) -> int:
@@ -154,7 +146,12 @@ def expand_scalar(polys: PolyGenMatrix, K: int, memory: int) -> MatF2:
     n = polys.n
     ncols = n * (K + memory)
     # row t ends before bit n * (t + memory + 1), inside the ncols columns
-    row0 = sum(1 << (n * i + j) for j, pj in enumerate(polys.polys) for i in pj.exponents())
+    row0 = sum(
+        1 << (n * i + j)
+        for j, pj in enumerate(polys.polys)
+        for i in range(pj.bit_length())
+        if pj >> i & 1
+    )
     stride = (ncols + 7) // 8
     rows = b"".join((row0 << (n * t)).to_bytes(stride, "little") for t in range(K))
     return MatF2.from_row_bytes(K, ncols, rows)
@@ -164,6 +161,6 @@ def encode_streams(m: BitVec, polys: PolyGenMatrix, memory: int) -> BitVec:
     """Interleave of m(x) * poly_j(x), each stream padded to K + memory bits."""
     if memory < polys.memory:
         raise ValueError("memory smaller than an actual polynomial degree")
-    mp = BinPoly.from_bitvec(m)
+    mp = m.to_int()
     length = m.n + memory
-    return interleave([poly_mul(mp, pj).to_bitvec(length) for pj in polys.polys])
+    return interleave([BitVec.from_int(length, poly_mul(mp, pj)) for pj in polys.polys])

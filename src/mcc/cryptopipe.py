@@ -23,7 +23,7 @@ import numpy as np
 from .analysis import estimate_alpha
 from .bitlinalg import BitVec, mat_vec_mul, permute
 from .convcode import CodeParams, PolyGenMatrix, deinterleave, interleave
-from .gf2poly import BinPoly, crc_append, crc_verify, poly_divmod
+from .gf2poly import crc_append, crc_verify, poly_divmod
 from .trellis import viterbi_decode
 
 if TYPE_CHECKING:
@@ -99,14 +99,15 @@ def invert_highmem(
     if candidate.n != params.N:
         raise ValueError("candidate length mismatch")
     quot_len = params.K + params.p
+    keep = (1 << quot_len) - 1
     streams = []
     remainders = 0
     offset = 0
     for stream, q_j in zip(deinterleave(candidate, params.n), g_q.polys):
-        quot, rem = poly_divmod(BinPoly.from_bitvec(stream), q_j)
-        streams.append(quot.truncate(quot_len).to_bitvec(quot_len))
-        remainders |= rem.value << offset
-        offset += q_j.degree
+        quot, rem = poly_divmod(stream.to_int(), q_j)
+        streams.append(BitVec.from_int(quot_len, quot & keep))
+        remainders |= rem << offset
+        offset += q_j.bit_length() - 1
     return interleave(streams), remainders
 
 

@@ -32,7 +32,7 @@ from .bitlinalg import (
 )
 from .convcode import MAX_MASK_RANK, CodeParams, PolyGenMatrix, expand_scalar
 from .cryptopipe import candidate_gate, invert_highmem
-from .gf2poly import BinPoly
+from .gf2poly import poly_mul
 from .trellis import Trellis, build_trellis
 
 _MAGIC = b"MCC1"
@@ -172,7 +172,7 @@ def keygen(
 ) -> tuple[PublicKey, PrivateKey]:
     """Generate a key pair; `material` pins the random draws for fixtures."""
     params.check_generators(g_p, g_q)
-    g_pq = PolyGenMatrix(tuple(a * b for a, b in zip(g_p.polys, g_q.polys)))
+    g_pq = PolyGenMatrix(tuple(poly_mul(a, b) for a, b in zip(g_p.polys, g_q.polys)))
     gpq_mat = expand_scalar(g_pq, params.K, params.p + params.q)
     if material is None:
         s = random_nonsingular(params.K, rng)
@@ -207,9 +207,9 @@ def _encode_bitvec(v: BitVec) -> bytes:
     return struct.pack("<I", v.n) + v.to_bytes()
 
 
-def _encode_poly(p: BinPoly) -> bytes:
-    nbits = p.value.bit_length()
-    return struct.pack("<I", nbits) + p.value.to_bytes((nbits + 7) // 8, "little")
+def _encode_poly(p: int) -> bytes:
+    nbits = p.bit_length()
+    return struct.pack("<I", nbits) + p.to_bytes((nbits + 7) // 8, "little")
 
 
 def _encode_matrix(m: MatF2) -> bytes:
@@ -254,13 +254,13 @@ class _Reader:
             raise KeyFormatError(f"vector length differs from the expected {n}")
         return self.bits(n)
 
-    def poly(self) -> BinPoly:
+    def poly(self) -> int:
         nbits = self.u32()
         raw = self.take((nbits + 7) // 8)
         value = int.from_bytes(raw, "little")
         if value.bit_length() != nbits and nbits != 0:
             raise KeyFormatError("polynomial has a zero leading coefficient")
-        return BinPoly(value)
+        return value
 
     def matrix(self, rows: int, cols: int) -> MatF2:
         """Read a matrix whose stored shape must be rows x cols.

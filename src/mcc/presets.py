@@ -1,26 +1,28 @@
 """Parameter file parsing, shipped presets and injected key material.
 
 Parameter files are line-oriented ``key = value`` text. Polynomials are
-written either as exponent lists like ``[0,5,12,16]`` or as octal generator
-strings like ``0o753`` (most significant bit = constant term); several
-polynomials are separated by semicolons. N is always derived from
-n * (K + p + q) and may not be specified directly.
+written either as exponent lists like ``[0,5,12,16]``, each exponent named
+once, or as octal generator strings like ``0o753`` of the digits 0-7 (most
+significant bit = constant term); several polynomials are separated by
+semicolons. N is always derived from n * (K + p + q) and may not be
+specified directly.
 """
 
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
 from .bitlinalg import BitVec, MatF2, Permutation
 from .convcode import MAX_N, CodeParams, PolyGenMatrix
-from .gf2poly import BinPoly
+from .gf2poly import from_exponents, from_octal
 from .keyring import KeyMaterial, MaskBasis
 
 # degree-16 CRC used when a parameter file does not pick one
-DEFAULT_CRC_POLY = BinPoly.from_exponents([0, 5, 12, 16])
+DEFAULT_CRC_POLY = from_exponents([0, 5, 12, 16])
 
 PRESET_NAMES = ("demo", "desk", "bench-a", "bench-b")
 
@@ -37,18 +39,25 @@ class ParamFile:
     seed: int | None
 
 
-def _parse_poly(token: str) -> BinPoly:
+def _parse_poly(token: str) -> int:
+    # every degree a valid file names is below N, which is capped; messages
+    # quote a token shortened, because a token can be megabytes long
     token = token.strip()
+    quoted = reprlib.repr(token)
     if token.startswith("0o"):
-        return BinPoly.from_octal(token)
+        poly = from_octal(token)
+        if poly.bit_length() > MAX_N:
+            raise ParamFileError(f"octal polynomial of degree {poly.bit_length() - 1} >= {MAX_N}")
+        return poly
     if token.startswith("[") and token.endswith("]"):
         inner = token[1:-1].strip()
         exps = [int(x) for x in inner.split(",")] if inner else []
-        # every degree a valid file names is below N, which is capped
         if any(not 0 <= e < MAX_N for e in exps):
-            raise ParamFileError(f"exponent outside 0..{MAX_N - 1} in {token!r}")
-        return BinPoly.from_exponents(exps)
-    raise ParamFileError(f"cannot parse polynomial {token!r}")
+            raise ParamFileError(f"exponent outside 0..{MAX_N - 1} in {quoted}")
+        if len(set(exps)) != len(exps):
+            raise ParamFileError(f"repeated exponent in {quoted}")
+        return from_exponents(exps)
+    raise ParamFileError(f"cannot parse polynomial {quoted}")
 
 
 def _parse_poly_list(value: str) -> PolyGenMatrix:

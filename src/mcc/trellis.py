@@ -38,7 +38,7 @@ import numpy as np
 
 from .bitlinalg import BitVec
 from .convcode import MAX_STREAMS, MAX_TRELLIS_MEMORY, PolyGenMatrix, deinterleave, encode_streams
-from .gf2poly import BinPoly, poly_mul
+from .gf2poly import poly_mul
 
 _INF = np.int32(1 << 29)
 # segments between two comparisons of a decode's lower bound with its bound
@@ -57,7 +57,7 @@ def _window_symbols(polys: PolyGenMatrix) -> np.ndarray:
     w = np.arange(1 << (p + 1), dtype=np.uint64)
     out = np.zeros(1 << (p + 1), dtype=np.uint8)
     for j, pj in enumerate(polys.polys):
-        out |= ((np.bitwise_count(w & np.uint64(pj.value)) & _one64) << j).astype(np.uint8)
+        out |= ((np.bitwise_count(w & np.uint64(pj)) & _one64) << j).astype(np.uint8)
     return out
 
 
@@ -83,7 +83,7 @@ class Trellis:
         # segments decoded two at a time: every pair before the zero tail
         self._paired = K & ~1 if p >= 2 else 0
         self._bound_checks = np.r_[_BOUND_INTERVAL - 1 : K + p - 1 : _BOUND_INTERVAL, K + p - 1]
-        self._gen_weights = np.array([g.weight for g in polys.polys], dtype=np.int64)
+        self._gen_weights = np.array([g.bit_count() for g in polys.polys], dtype=np.int64)
         out = _window_symbols(polys)
         syms = np.arange(1 << self.n, dtype=np.uint8)
         # bm[r, h, m, b] is the metric of predecessor h * half + m on input b
@@ -137,11 +137,11 @@ def _syndrome_bounds(trellis: Trellis, received: BitVec, after: np.ndarray) -> n
     """
     n, p, segs = trellis.n, trellis.p, trellis.segments
     polys = trellis.polys.polys
-    r = [BinPoly.from_bitvec(s) for s in deinterleave(received, n)]
+    r = [s.to_int() for s in deinterleave(received, n)]
     # s_j has degree below segs + p; the spare byte makes the last suffix count 0
     nbytes = (segs + p) // 8 + 1
     syn = b"".join(
-        (poly_mul(r[0], polys[j]) + poly_mul(r[j], polys[0])).value.to_bytes(nbytes, "little")
+        (poly_mul(r[0], polys[j]) ^ poly_mul(r[j], polys[0])).to_bytes(nbytes, "little")
         for j in range(1, n)
     )
     bits = np.unpackbits(
@@ -259,5 +259,6 @@ def viterbi_decode(
         state = (state >> 1) | (((int(survivors[t, i >> 3]) >> (i & 7)) & 1) << top_shift)
     info = BitVec.from_bits(bits[: trellis.K])
     weight = (received ^ encode_streams(info, trellis.polys, trellis.p)).weight()
-    assert weight == int(pm[0]), "path metric disagrees with the survivor path"
+    if weight != int(pm[0]):
+        raise RuntimeError("path metric disagrees with the survivor path")
     return DecodeResult(info, weight)

@@ -22,7 +22,7 @@ from mcc.cryptopipe import (
     enumerate_candidates,
     invert_highmem,
 )
-from mcc.gf2poly import BinPoly, crc_verify, poly_divmod
+from mcc.gf2poly import crc_verify, poly_divmod
 from mcc.keyring import MaskBasis, PrivateKey, PublicKey
 from mcc.trellis import (
     _INF,
@@ -33,6 +33,7 @@ from mcc.trellis import (
     build_trellis,
     viterbi_decode,
 )
+from polys import exponents
 
 MAX_SEARCH_MEMORY = 12
 _FREE_DISTANCE_BUDGET = 40
@@ -138,7 +139,7 @@ def dense_expand_scalar(polys: PolyGenMatrix, K: int, memory: int) -> MatF2:
     ncols = n * (K + memory)
     row0 = np.zeros(ncols, dtype=np.uint8)
     for j, pj in enumerate(polys.polys):
-        for i in pj.exponents():
+        for i in exponents(pj):
             row0[n * i + j] = 1
     bits = np.zeros((K, ncols), dtype=np.uint8)
     width = n * (memory + 1)
@@ -153,19 +154,19 @@ def encode_matrix(m: BitVec, polys: PolyGenMatrix, memory: int) -> BitVec:
     return mat_vec_mul(m, expand_scalar(polys, m.n, memory))
 
 
-def batch_quotient_weights(bits: np.ndarray, divisor: BinPoly, quot_len: int) -> np.ndarray:
+def batch_quotient_weights(bits: np.ndarray, divisor: int, quot_len: int) -> np.ndarray:
     """Weight of each row's polynomial quotient by `divisor`, truncated.
 
     Synthetic division run column-wise over a (trials, stream_len) bit
     matrix; row r gets the weight of (row_r(x) div divisor) restricted to
     the quot_len lowest coefficients.
     """
-    if not divisor.value:
+    if not divisor:
         raise ZeroDivisionError("division by the zero polynomial")
     bits = np.array(bits, dtype=np.uint8)
     trials, stream_len = bits.shape
-    d = divisor.degree
-    lower = [o for o in divisor.exponents() if o < d]
+    d = divisor.bit_length() - 1
+    lower = [o for o in exponents(divisor) if o < d]
     width = stream_len - d
     if width <= 0:
         return np.zeros(trials, dtype=np.int64)
@@ -203,19 +204,19 @@ def unit_vector_alpha(g_q: PolyGenMatrix, e: float, stream_len: int) -> tuple[fl
     for q_j in g_q.polys:
         w = [0] * quot_len
         for k in range(stream_len):
-            quot, _ = poly_divmod(BinPoly.x_pow(k), q_j)
+            quot, _ = poly_divmod(1 << k, q_j)
             for i in range(quot_len):
-                w[i] += (quot.value >> i) & 1
+                w[i] += (quot >> i) & 1
         per_stream.append(sum((1 - (1 - 2 * e) ** wi) / 2 for wi in w) - e * stream_len)
     return tuple(per_stream)
 
 
-def reference_crc_append(m: BitVec, r_poly: BinPoly) -> BitVec:
+def reference_crc_append(m: BitVec, r_poly: int) -> BitVec:
     """m followed by x^r * m(x) mod r_poly, by one long division."""
-    r = r_poly.degree
+    r = r_poly.bit_length() - 1
     word = m.to_int()
-    _, rem = poly_divmod(BinPoly(word << r), r_poly)
-    return BitVec.from_int(m.n + r, word | rem.value << m.n)
+    _, rem = poly_divmod(word << r, r_poly)
+    return BitVec.from_int(m.n + r, word | rem << m.n)
 
 
 def reference_forward_pass(trellis: Trellis, rsyms: np.ndarray):

@@ -25,11 +25,12 @@ from mcc.cryptopipe import (
     enumerate_candidates,
     invert_highmem,
 )
-from mcc.gf2poly import BinPoly, poly_divmod
+from mcc.gf2poly import from_exponents, poly_divmod, poly_mul
 from mcc.keyring import keygen
 from mcc.presets import load_preset
 from mcc.trellis import build_trellis, viterbi_decode
 from oracles import free_distance, recover_masked_sum, reference_outcomes
+from polys import from_exponent_lists, from_octal_strings
 
 
 def criterion(num, name, budget_s=None):
@@ -70,7 +71,7 @@ def test_criterion_01_golden(demo):
     )
 
     # key construction, bit for bit
-    gpq = PolyGenMatrix(tuple(a * b for a, b in zip(demo.g_p.polys, demo.g_q.polys)))
+    gpq = PolyGenMatrix(tuple(poly_mul(a, b) for a, b in zip(demo.g_p.polys, demo.g_q.polys)))
     masked = mat_add(expand_scalar(gpq, 6, 9), demo.material.mask_matrix)
     assert masked == MatF2.from_bitstrings(MASKED_SUM_ROWS)
     assert recover_masked_sum(pub, priv) == masked
@@ -80,29 +81,29 @@ def test_criterion_01_golden(demo):
     # encryption with the pinned error pattern
     ct = encrypt(pub, demo.message, np.random.default_rng(0), error=demo.error_vector)
     c_tilde = permute(ct, priv.perm, inverse=True)
-    s0, s1 = (BinPoly.from_bitvec(s) for s in deinterleave(c_tilde, 2))
-    ones = BinPoly.from_exponents(range(15))
-    assert s0 == BinPoly.from_exponents([7, 10, 14])
-    assert s1 == BinPoly.from_exponents([0, 1, 2, 3, 4, 5, 6, 9, 10, 11, 12, 14])
+    s0, s1 = (s.to_int() for s in deinterleave(c_tilde, 2))
+    ones = from_exponents(range(15))
+    assert s0 == from_exponents([7, 10, 14])
+    assert s1 == from_exponents([0, 1, 2, 3, 4, 5, 6, 9, 10, 11, 12, 14])
     # the four unmasked stream variants
-    assert s0 + ones == BinPoly.from_exponents([0, 1, 2, 3, 4, 5, 6, 8, 9, 11, 12, 13])
-    assert s1 + ones == BinPoly.from_exponents([7, 8, 13])
+    assert s0 ^ ones == from_exponents([0, 1, 2, 3, 4, 5, 6, 8, 9, 11, 12, 13])
+    assert s1 ^ ones == from_exponents([7, 8, 13])
 
     # all four stream quotients and remainders
     q00, r00 = poly_divmod(s0, demo.g_q.polys[0])
-    assert (q00, r00) == (BinPoly.from_exponents([3, 7]), BinPoly.from_exponents([3]))
-    q10, r10 = poly_divmod(s0 + ones, demo.g_q.polys[0])
+    assert (q00, r00) == (from_exponents([3, 7]), from_exponents([3]))
+    q10, r10 = poly_divmod(s0 ^ ones, demo.g_q.polys[0])
     assert (q10, r10) == (
-        BinPoly.from_exponents([1, 2, 4, 5, 6]),
-        BinPoly.from_exponents([0, 3]),
+        from_exponents([1, 2, 4, 5, 6]),
+        from_exponents([0, 3]),
     )
     q01, r01 = poly_divmod(s1, demo.g_q.polys[1])
     assert (q01, r01) == (
-        BinPoly.from_exponents([2, 3, 4, 5, 7]),
-        BinPoly.from_exponents([0, 1, 2, 3, 4, 5, 6]),
+        from_exponents([2, 3, 4, 5, 7]),
+        from_exponents([0, 1, 2, 3, 4, 5, 6]),
     )
-    q11, r11 = poly_divmod(s1 + ones, demo.g_q.polys[1])
-    assert (q11, r11) == (BinPoly.from_exponents([0, 1, 6]), BinPoly.zero())
+    q11, r11 = poly_divmod(s1 ^ ones, demo.g_q.polys[1])
+    assert (q11, r11) == (from_exponents([0, 1, 6]), 0)
 
     # candidate decoding: the all-ones unmasking wins with weight 2
     trellis = build_trellis(demo.g_p, 6)
@@ -125,9 +126,9 @@ def test_criterion_01_golden(demo):
 @criterion(2, "round-trip correctness", budget_s=120.0)
 def test_criterion_02_round_trip():
     # noiseless: exhaustive over every message of a K = 12 system
-    tiny = CodeParams(n=2, p=2, q=7, K=12, l=2, e=Fraction(0), r_poly=BinPoly.one())
-    g_p = PolyGenMatrix.from_exponent_lists([[0, 2], [0, 1, 2]])
-    g_q = PolyGenMatrix.from_exponent_lists([[0, 7], [7]])
+    tiny = CodeParams(n=2, p=2, q=7, K=12, l=2, e=Fraction(0), r_poly=1)
+    g_p = from_exponent_lists([[0, 2], [0, 1, 2]])
+    g_q = from_exponent_lists([[0, 7], [7]])
     pub, priv = keygen(tiny, g_p, g_q, np.random.default_rng(2))
     rng = np.random.default_rng(0)
     for value in range(1 << 12):
@@ -135,7 +136,7 @@ def test_criterion_02_round_trip():
         assert decrypt(priv, pub, encrypt(pub, m, rng)) == m
     # same, with a CRC field occupying part of K
     crc_params = CodeParams(
-        n=2, p=2, q=7, K=12, l=2, e=Fraction(0), r_poly=BinPoly.from_exponents([0, 1, 4])
+        n=2, p=2, q=7, K=12, l=2, e=Fraction(0), r_poly=from_exponents([0, 1, 4])
     )
     pub2, priv2 = keygen(crc_params, g_p, g_q, np.random.default_rng(3))
     for value in range(1 << 8):
@@ -216,11 +217,11 @@ def test_criterion_05_isd():
 
 @criterion(6, "division error propagation", budget_s=60.0)
 def test_criterion_06_alpha():
-    half = PolyGenMatrix.from_exponent_lists([[93], [0, 186]])
+    half = from_exponent_lists([[93], [0, 186]])
     eff = (0.02 * 5600 + sum(estimate_alpha(half, 0.02, 2800))) / 5600
     assert abs(eff - 0.07) <= 0.01
 
-    quarter = PolyGenMatrix.from_exponent_lists(
+    quarter = from_exponent_lists(
         [[0, 495, 990], [247], [743], [0, 990]]
     )
     stream_len = 12672
@@ -231,9 +232,9 @@ def test_criterion_06_alpha():
 
 @criterion(7, "free distances", budget_s=300.0)
 def test_criterion_07_free_distance():
-    small = PolyGenMatrix.from_exponent_lists([[0, 2], [0, 1, 2]])
+    small = from_exponent_lists([[0, 2], [0, 1, 2]])
     assert free_distance(small) == 5
-    big = PolyGenMatrix.from_octal(["2327", "2353", "2671", "3175"])
+    big = from_octal_strings(["2327", "2353", "2671", "3175"])
     assert free_distance(big) == 29
     return "5 and 29, exact"
 
@@ -248,7 +249,7 @@ def test_criterion_08_viterbi_optimality():
         k = int(rng.integers(2, 11))
         polys = PolyGenMatrix(
             tuple(
-                BinPoly(int(rng.integers(0, 1 << (p + 1))) | 1 | (1 << p))
+                int(rng.integers(0, 1 << (p + 1))) | 1 | (1 << p)
                 for _ in range(n)
             )
         )

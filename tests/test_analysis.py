@@ -15,10 +15,11 @@ from mcc.analysis import (
     window_failure,
 )
 from mcc.bitlinalg import MatF2
-from mcc.convcode import MAX_N, PolyGenMatrix
-from mcc.gf2poly import BinPoly, poly_divmod
+from mcc.convcode import MAX_N
+from mcc.gf2poly import from_exponents, poly_divmod
 from mcc.presets import load_preset
 from oracles import batch_quotient_weights, monte_carlo_alpha, unit_vector_alpha
+from polys import from_exponent_lists
 
 
 def exact_isd_log2(n, k, t):
@@ -37,10 +38,10 @@ def exact_binomial_tail(p: float, n: int, t: int) -> float:
 def test_batch_divider_matches_poly_divmod():
     rng = np.random.default_rng(1)
     divisors = [
-        BinPoly.from_exponents([0, 7]),
-        BinPoly.from_exponents([0, 3, 9]),
-        BinPoly.from_exponents([5]),
-        BinPoly.from_exponents([0, 1, 2, 4]),
+        from_exponents([0, 7]),
+        from_exponents([0, 3, 9]),
+        from_exponents([5]),
+        from_exponents([0, 1, 2, 4]),
     ]
     for divisor in divisors:
         bits = (rng.random((10, 150)) < 0.25).astype(np.uint8)
@@ -50,33 +51,33 @@ def test_batch_divider_matches_poly_divmod():
             e_int = int.from_bytes(
                 np.packbits(bits[r], bitorder="little").tobytes(), "little"
             )
-            q, _ = poly_divmod(BinPoly(e_int), divisor)
-            assert got[r] == (q.value & ((1 << quot_len) - 1)).bit_count()
+            q, _ = poly_divmod(e_int, divisor)
+            assert got[r] == (q & ((1 << quot_len) - 1)).bit_count()
 
 
 def test_estimate_alpha_pure_shift_does_not_propagate():
     # a monomial divisor just slides the stream; the only weight change is
     # the error bits that drop into the discarded remainder
-    gq = PolyGenMatrix.from_exponent_lists([[40]])
+    gq = from_exponent_lists([[40]])
     (alpha,) = estimate_alpha(gq, 0.05, 500)
     assert alpha == pytest.approx(-0.05 * 40, abs=1e-12)
 
 
 def test_estimate_alpha_binomial_divisor_propagates():
-    gq = PolyGenMatrix.from_exponent_lists([[0, 50]])
+    gq = from_exponent_lists([[0, 50]])
     (alpha,) = estimate_alpha(gq, 0.02, 1000)
     assert alpha > 50  # each error spawns a chain of copies
 
 
 def test_estimate_alpha_reference_rate_small_sample():
-    gq = PolyGenMatrix.from_exponent_lists([[93], [0, 186]])
+    gq = from_exponent_lists([[93], [0, 186]])
     alpha = sum(estimate_alpha(gq, 0.02, 2800))
     eff = effective_error_rate(0.02, alpha, 5600)
     assert abs(eff - 0.07) <= 0.01
 
 
 def test_estimate_alpha_validation():
-    gq = PolyGenMatrix.from_exponent_lists([[0, 5]])
+    gq = from_exponent_lists([[0, 5]])
     with pytest.raises(ValueError):
         estimate_alpha(gq, 1.5, 100)
     with pytest.raises(ValueError):
@@ -96,18 +97,18 @@ def test_estimate_alpha_matches_brute_force():
         ([[0, 1, 2, 4], [2]], 0.0, 25),
     ]
     for exps, e, stream_len in cases:
-        gq = PolyGenMatrix.from_exponent_lists(exps)
+        gq = from_exponent_lists(exps)
         assert estimate_alpha(gq, e, stream_len) == pytest.approx(
             unit_vector_alpha(gq, e, stream_len), abs=1e-9
         )
     # the piling-up lemma itself: the expectation over all 2^10 error words
-    gq = PolyGenMatrix.from_exponent_lists([[0, 2, 3]])
+    gq = from_exponent_lists([[0, 2, 3]])
     e, stream_len = 0.15, 10
     expected = 0.0
     for word in range(1 << stream_len):
         wt = word.bit_count()
-        quot, _ = poly_divmod(BinPoly(word), gq.polys[0])
-        expected += e**wt * (1 - e) ** (stream_len - wt) * (quot.value.bit_count() - wt)
+        quot, _ = poly_divmod(word, gq.polys[0])
+        expected += e**wt * (1 - e) ** (stream_len - wt) * (quot.bit_count() - wt)
     assert estimate_alpha(gq, e, stream_len)[0] == pytest.approx(expected, abs=1e-12)
 
 
@@ -116,7 +117,7 @@ def test_estimate_alpha_matches_brute_force():
 )
 def test_estimate_alpha_within_monte_carlo_error(name):
     if name == "criterion-06":
-        gq, e, stream_len = PolyGenMatrix.from_exponent_lists([[93], [0, 186]]), 0.02, 2800
+        gq, e, stream_len = from_exponent_lists([[93], [0, 186]]), 0.02, 2800
     else:
         pf = load_preset(name)
         gq, e = pf.g_q, float(pf.params.e)

@@ -147,3 +147,22 @@ def test_no_module_imports_inside_a_function_or_class():
         if (lines := nested_imports(path.read_text()))
     }
     assert nested == {}
+
+
+def assert_lines(source: str) -> list[int]:
+    """Lines of the assert statements, which ``python -O`` strips."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+def test_assert_guard_sees_nested_asserts():
+    source = "assert a\ndef f():\n    x = 1\n    assert x, 'msg'\nclass C:\n    assert True\n"
+    assert assert_lines(source) == [1, 4, 6]
+
+
+def test_no_module_checks_an_invariant_with_assert():
+    asserts = {
+        path.name: lines
+        for path in sorted(SRC.glob("*.py"))
+        if (lines := assert_lines(path.read_text()))
+    }
+    assert asserts == {}

@@ -10,6 +10,7 @@ from mcc.analysis import KeyRandomnessReport
 from mcc.bitlinalg import BitVec
 from mcc.convcode import PolyGenMatrix, expand_scalar
 from mcc.cli import main
+from mcc.gf2poly import poly_mul
 
 
 def run_cli(*argv):
@@ -287,7 +288,7 @@ def test_exit_code_malformed_inputs(tmp_path, demo):
     assert code == 2, err
     # mask row 1 makes row 1 of expand(g_p * g_q) + mask equal row 0; the
     # basis holds row 0 + row 1, so every mask row lies in its span
-    gpq = PolyGenMatrix(tuple(a * b for a, b in zip(demo.g_p.polys, demo.g_q.polys)))
+    gpq = PolyGenMatrix(tuple(poly_mul(a, b) for a, b in zip(demo.g_p.polys, demo.g_q.polys)))
     rows = expand_scalar(gpq, demo.params.K, demo.params.p + demo.params.q)
     doc = json.loads(resources.files("mcc").joinpath("data", "demo_inject.json").read_text())
     mask0 = BitVec.from01(doc["mask_basis"][1])
@@ -427,6 +428,10 @@ def test_exit_code_malformed_inputs(tmp_path, demo):
     # values outside a report's or a simulation's domain
     for argv in (
         ("analyze", "isd", "--n", "10", "--k", "20", "--t", "1"),
+        # the mask rank and the trellis memory keep the ranges CodeParams allows
+        ("analyze", "isd", "--n", "5600", "--k", "2600", "--t", "392", "--l", "-5", "--p", "-14"),
+        ("analyze", "isd", "--n", "5600", "--k", "2600", "--t", "392", "--l", "21"),
+        ("analyze", "isd", "--n", "5600", "--k", "2600", "--t", "392", "--p", "17"),
         ("analyze", "gilbert", "--rate", "2"),
         ("analyze", "failure", "--p-eff", "2", "--window-bits", "4", "--t-corr", "1",
          "--windows", "1"),

@@ -14,13 +14,14 @@ from mcc.convcode import (
     expand_scalar,
     interleave,
 )
-from mcc.gf2poly import BinPoly, poly_mul
+from mcc.gf2poly import from_exponents, poly_mul
 from mcc.presets import PRESET_NAMES, load_preset
 from oracles import dense_expand_scalar, encode_matrix
+from polys import from_exponent_lists, from_octal_strings
 
-GP = PolyGenMatrix.from_exponent_lists([[0, 2], [0, 1, 2]])
-GQ = PolyGenMatrix.from_exponent_lists([[0, 7], [7]])
-GPQ = PolyGenMatrix(tuple(a * b for a, b in zip(GP.polys, GQ.polys)))
+GP = from_exponent_lists([[0, 2], [0, 1, 2]])
+GQ = from_exponent_lists([[0, 7], [7]])
+GPQ = PolyGenMatrix(tuple(poly_mul(a, b) for a, b in zip(GP.polys, GQ.polys)))
 
 GP_SCALAR_ROWS = [
     "1101110000000000",
@@ -52,8 +53,8 @@ D3 = "0111100010101100"
 
 
 def test_interleave_reference_codeword():
-    m = BinPoly.from_exponents([0, 1, 2, 5])
-    streams = [poly_mul(m, p).to_bitvec(8) for p in GP.polys]
+    m = from_exponents([0, 1, 2, 5])
+    streams = [BitVec.from_int(8, poly_mul(m, p)) for p in GP.polys]
     assert interleave(streams).to01() == "1110011011110111"
 
 
@@ -108,7 +109,7 @@ def test_expand_scalar_high_memory_matrix():
 
 
 def test_expand_scalar_trivial_identity():
-    one = PolyGenMatrix((BinPoly.one(),))
+    one = PolyGenMatrix((1,))
     assert expand_scalar(one, 5, 0) == MatF2.identity(5)
 
 
@@ -121,14 +122,14 @@ def test_expand_scalar_matches_dense_construction():
     # the keygen products of every preset, at full K, and a memory above the degree
     for name in PRESET_NAMES:
         pf = load_preset(name)
-        gpq = PolyGenMatrix(tuple(a * b for a, b in zip(pf.g_p.polys, pf.g_q.polys)))
+        gpq = PolyGenMatrix(tuple(poly_mul(a, b) for a, b in zip(pf.g_p.polys, pf.g_q.polys)))
         mem = pf.params.p + pf.params.q
         assert expand_scalar(gpq, pf.params.K, mem) == dense_expand_scalar(gpq, pf.params.K, mem)
     rng = np.random.default_rng(3)
     for _ in range(20):
         n = int(rng.integers(1, 9))
         polys = PolyGenMatrix(
-            tuple(BinPoly(int(rng.integers(1, 1 << 12))) for _ in range(n))
+            tuple(int(rng.integers(1, 1 << 12)) for _ in range(n))
         )
         k = int(rng.integers(1, 40))
         mem = polys.memory + int(rng.integers(0, 3))
@@ -168,9 +169,9 @@ def test_encode_streams_matches_matrix_path():
 def test_high_memory_composition_law(gp_octal, gq_lists, k):
     # encoding through p_j * q_j equals encoding through p_j then multiplying
     # by q_j, stream by stream; decryption inverts exactly this factorization
-    gp = PolyGenMatrix.from_octal(gp_octal)
-    gq = PolyGenMatrix.from_exponent_lists(gq_lists)
-    gpq = PolyGenMatrix(tuple(a * b for a, b in zip(gp.polys, gq.polys)))
+    gp = from_octal_strings(gp_octal)
+    gq = from_exponent_lists(gq_lists)
+    gpq = PolyGenMatrix(tuple(poly_mul(a, b) for a, b in zip(gp.polys, gq.polys)))
     mem_pq = gp.memory + gq.memory
     rng = np.random.default_rng(11)
     for _ in range(5):
@@ -179,49 +180,53 @@ def test_high_memory_composition_law(gp_octal, gq_lists, k):
         low = encode_streams(m, gp, gp.memory)
         length = k + mem_pq
         for low_j, full_j, q_j in zip(deinterleave(low, gp.n), deinterleave(full, gp.n), gq.polys):
-            assert full_j == poly_mul(BinPoly.from_bitvec(low_j), q_j).to_bitvec(length)
+            assert full_j == BitVec.from_int(length, poly_mul(low_j.to_int(), q_j))
 
 
 def test_code_params_invariants():
     params = CodeParams(
-        n=2, p=2, q=7, K=6, l=2, e=Fraction(1, 10), r_poly=BinPoly.one()
+        n=2, p=2, q=7, K=6, l=2, e=Fraction(1, 10), r_poly=1
     )
     assert params.N == 30
     assert params.r == 0
     assert params.plaintext_len == 6
     with pytest.raises(ValueError):
-        CodeParams(n=9, p=2, q=7, K=6, l=2, e=Fraction(0), r_poly=BinPoly.one())
+        CodeParams(n=9, p=2, q=7, K=6, l=2, e=Fraction(0), r_poly=1)
     with pytest.raises(ValueError):
-        CodeParams(n=2, p=0, q=7, K=6, l=2, e=Fraction(0), r_poly=BinPoly.one())
+        CodeParams(n=2, p=0, q=7, K=6, l=2, e=Fraction(0), r_poly=1)
     with pytest.raises(ValueError):
-        CodeParams(n=2, p=17, q=7, K=6, l=2, e=Fraction(0), r_poly=BinPoly.one())
+        CodeParams(n=2, p=17, q=7, K=6, l=2, e=Fraction(0), r_poly=1)
     with pytest.raises(ValueError):
-        CodeParams(n=2, p=2, q=7, K=6, l=21, e=Fraction(0), r_poly=BinPoly.one())
+        CodeParams(n=2, p=2, q=7, K=6, l=21, e=Fraction(0), r_poly=1)
     with pytest.raises(ValueError):
-        CodeParams(n=2, p=2, q=7, K=6, l=2, e=Fraction(1), r_poly=BinPoly.one())
+        CodeParams(n=2, p=2, q=7, K=6, l=2, e=Fraction(1), r_poly=1)
     with pytest.raises(ValueError):
-        CodeParams(n=2, p=2, q=7, K=6, l=2, e=Fraction(0), r_poly=BinPoly.zero())
+        CodeParams(n=2, p=2, q=7, K=6, l=2, e=Fraction(0), r_poly=0)
+    with pytest.raises(ValueError, match="CRC polynomial"):
+        CodeParams(n=2, p=2, q=7, K=6, l=2, e=Fraction(0), r_poly=-1)
     # size caps: K and N bound keygen's dense K x N matrices
     assert CodeParams(
-        n=2, p=2, q=7, K=MAX_K, l=2, e=Fraction(0), r_poly=BinPoly.one()
+        n=2, p=2, q=7, K=MAX_K, l=2, e=Fraction(0), r_poly=1
     ).N <= MAX_N
     with pytest.raises(ValueError, match="K must be"):
-        CodeParams(n=2, p=2, q=7, K=MAX_K + 1, l=2, e=Fraction(0), r_poly=BinPoly.one())
+        CodeParams(n=2, p=2, q=7, K=MAX_K + 1, l=2, e=Fraction(0), r_poly=1)
     with pytest.raises(ValueError, match="K must be"):
-        CodeParams(n=2, p=2, q=7, K=3_000_000, l=2, e=Fraction(0), r_poly=BinPoly.one())
+        CodeParams(n=2, p=2, q=7, K=3_000_000, l=2, e=Fraction(0), r_poly=1)
     with pytest.raises(ValueError, match="N = "):
-        CodeParams(n=8, p=2, q=100, K=4000, l=2, e=Fraction(0), r_poly=BinPoly.one())
+        CodeParams(n=8, p=2, q=100, K=4000, l=2, e=Fraction(0), r_poly=1)
     # decryption's 2^l quotients of n * (K + p) bits: 2^15 bits each here
     assert CodeParams(
-        n=4, p=16, q=0, K=8176, l=15, e=Fraction(0), r_poly=BinPoly.one()
+        n=4, p=16, q=0, K=8176, l=15, e=Fraction(0), r_poly=1
     ).N == MAX_N
     for l in (16, 20):
         with pytest.raises(ValueError, match="2\\^l"):
-            CodeParams(n=4, p=16, q=0, K=8176, l=l, e=Fraction(0), r_poly=BinPoly.one())
+            CodeParams(n=4, p=16, q=0, K=8176, l=l, e=Fraction(0), r_poly=1)
 
 
 def test_poly_gen_matrix_validation():
     with pytest.raises(ValueError):
         PolyGenMatrix(())
     with pytest.raises(ValueError):
-        PolyGenMatrix((BinPoly.one(), BinPoly.zero()))
+        PolyGenMatrix((1, 0))
+    with pytest.raises(ValueError):
+        PolyGenMatrix((1, -3))

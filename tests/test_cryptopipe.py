@@ -17,7 +17,7 @@ from mcc.cryptopipe import (
     enumerate_candidates,
     invert_highmem,
 )
-from mcc.gf2poly import BinPoly, poly_divmod
+from mcc.gf2poly import from_exponents, poly_mul
 from mcc.keyring import (
     KeyFormatError,
     deserialize_ciphertext,
@@ -29,9 +29,10 @@ from mcc.keyring import (
 from mcc.presets import load_preset
 from mcc.trellis import build_trellis
 from oracles import reference_decrypt, reference_outcomes, span_contains, span_element_for_index
+from polys import from_exponent_lists
 
-STREAM0_POLY = BinPoly.from_exponents([7, 10, 14])
-STREAM1_POLY = BinPoly.from_exponents([0, 1, 2, 3, 4, 5, 6, 9, 10, 11, 12, 14])
+STREAM0_POLY = from_exponents([7, 10, 14])
+STREAM1_POLY = from_exponents([0, 1, 2, 3, 4, 5, 6, 9, 10, 11, 12, 14])
 
 
 def test_encrypt_reference_chain(demo, demo_keys):
@@ -40,7 +41,9 @@ def test_encrypt_reference_chain(demo, demo_keys):
     clean = encrypt(pub, demo.message, np.random.default_rng(0), error=BitVec.zeros(30))
     assert (ct ^ clean) == demo.error_vector
     c_tilde = permute(ct, priv.perm, inverse=True)
-    assert deinterleave(c_tilde, 2) == [STREAM0_POLY.to_bitvec(15), STREAM1_POLY.to_bitvec(15)]
+    assert deinterleave(c_tilde, 2) == [
+        BitVec.from_int(15, STREAM0_POLY), BitVec.from_int(15, STREAM1_POLY)
+    ]
 
 
 def test_encrypt_zero_noise_is_pure_encoding(desk, desk_keys):
@@ -110,30 +113,30 @@ def test_demo_candidates_cover_reference_streams(demo, demo_keys):
     pub, priv = demo_keys
     ct = encrypt(pub, demo.message, np.random.default_rng(0), error=demo.error_vector)
     c_tilde = permute(ct, priv.perm, inverse=True)
-    ones15 = BinPoly.from_exponents(range(15))
+    ones15 = from_exponents(range(15))
     seen0 = set()
     seen1 = set()
     for cand in enumerate_candidates(c_tilde, priv.mask_basis.vectors):
         s0, s1 = deinterleave(cand, 2)
         seen0.add(s0.to_int())
         seen1.add(s1.to_int())
-    assert seen0 == {STREAM0_POLY.value, (STREAM0_POLY + ones15).value}
-    assert seen1 == {STREAM1_POLY.value, (STREAM1_POLY + ones15).value}
+    assert seen0 == {STREAM0_POLY, STREAM0_POLY ^ ones15}
+    assert seen1 == {STREAM1_POLY, STREAM1_POLY ^ ones15}
 
 
 def test_invert_highmem_reference_quotients(demo):
     params = demo.params
     g_q = demo.g_q
-    ones15 = BinPoly.from_exponents(range(15))
+    ones15 = from_exponents(range(15))
     # candidate with the all-ones mask removed: both streams complemented
     cand = interleave(
-        [(STREAM0_POLY + ones15).to_bitvec(15), (STREAM1_POLY + ones15).to_bitvec(15)]
+        [BitVec.from_int(15, STREAM0_POLY ^ ones15), BitVec.from_int(15, STREAM1_POLY ^ ones15)]
     )
     word, rem = invert_highmem(cand, g_q, params)
     assert word.to01() == "0111100010101100"
     # remainders: 1 + x^3 on stream 0 (bits 0..6), zero on stream 1 (bits 7..13)
     assert rem == 0b1001
-    cand0 = interleave([STREAM0_POLY.to_bitvec(15), STREAM1_POLY.to_bitvec(15)])
+    cand0 = interleave([BitVec.from_int(15, STREAM0_POLY), BitVec.from_int(15, STREAM1_POLY)])
     word0, rem0 = invert_highmem(cand0, g_q, params)
     assert word0.to01() == "0000011101010011"
     # x^3 on stream 0 and the dense degree-6 remainder on stream 1
@@ -143,7 +146,7 @@ def test_invert_highmem_reference_quotients(demo):
 def test_invert_highmem_noiseless_composition(demo):
     rng = np.random.default_rng(5)
     params = demo.params
-    gpq = PolyGenMatrix(tuple(a * b for a, b in zip(demo.g_p.polys, demo.g_q.polys)))
+    gpq = PolyGenMatrix(tuple(poly_mul(a, b) for a, b in zip(demo.g_p.polys, demo.g_q.polys)))
     for _ in range(100):
         m = BitVec.random(params.K, rng)
         cand = encode_streams(m, gpq, params.p + params.q)
@@ -380,20 +383,20 @@ def test_candidate_gate_thresholds(demo):
     # plausible weight, unless the divisors propagate much more
     wide = CodeParams(
         n=2, p=14, q=186, K=2600, l=5, e=Fraction(1, 50),
-        r_poly=BinPoly.from_exponents([0, 5, 12, 16]),
+        r_poly=from_exponents([0, 5, 12, 16]),
     )
-    half = PolyGenMatrix.from_exponent_lists([[93], [0, 186]])
+    half = from_exponent_lists([[93], [0, 186]])
     assert candidate_gate(wide, half) < 616
-    binomials = PolyGenMatrix.from_exponent_lists([[0, 186], [0, 186]])
+    binomials = from_exponent_lists([[0, 186], [0, 186]])
     assert 616 <= candidate_gate(wide, binomials)
 
 
 def test_candidate_gate_zero_channel():
     params = CodeParams(
-        n=2, p=2, q=7, K=6, l=0, e=Fraction(0), r_poly=BinPoly.one()
+        n=2, p=2, q=7, K=6, l=0, e=Fraction(0), r_poly=1
     )
     # weight 0 is accepted, weight 1 is not
-    assert candidate_gate(params, PolyGenMatrix.from_exponent_lists([[7], [0, 7]])) == 0
+    assert candidate_gate(params, from_exponent_lists([[7], [0, 7]])) == 0
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import struct
+import time
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from mcc.bitlinalg import BitVec, MatF2, Permutation, mat_add, mat_vec_mul, rank
 from mcc.convcode import MAX_MASK_RANK, MAX_N, expand_scalar
+from mcc.gf2poly import poly_mul
 from mcc.keyring import (
     KeyFormatError,
     KeyMaterial,
@@ -20,7 +22,7 @@ from mcc.keyring import (
     keygen,
     serialize_key,
 )
-from mcc.presets import ParamFileError, load_preset, parse_param_file
+from mcc.presets import ParamFileError, _parse_poly, load_preset, parse_param_file
 from oracles import recover_masked_sum, span_contains, span_element, span_size
 
 G_ROW0 = "101011001100101101010111100100"
@@ -91,7 +93,7 @@ def test_gen_mask_matrix_zero_rank(demo):
 def expand_scalar_demo(demo):
     from mcc.convcode import PolyGenMatrix
 
-    gpq = PolyGenMatrix(tuple(a * b for a, b in zip(demo.g_p.polys, demo.g_q.polys)))
+    gpq = PolyGenMatrix(tuple(poly_mul(a, b) for a, b in zip(demo.g_p.polys, demo.g_q.polys)))
     return expand_scalar(gpq, demo.params.K, demo.params.p + demo.params.q)
 
 
@@ -325,7 +327,7 @@ def crafted_header_blobs(pub, priv):
     # G closes the public blob; S^-1 follows the polynomials in the private one
     at_pub = len(serialize_key(pub)) - 8 - params.K * ((params.N + 7) // 8)
     polys = priv.g_p.polys + priv.g_q.polys
-    at_priv = at_pub + sum(4 + (p.value.bit_length() + 7) // 8 for p in polys)
+    at_priv = at_pub + sum(4 + (p.bit_length() + 7) // 8 for p in polys)
     for key, at in ((pub, at_pub), (priv, at_priv)):
         blob = serialize_key(key)
         assert struct.unpack_from("<II", blob, at)[0] == params.K
@@ -406,3 +408,41 @@ def test_over_cap_sizes_rejected_in_files(demo_keys):
     header = struct.pack("<IIIIII", 4, 16, 0, 8176, 32768, 20)
     with pytest.raises(KeyFormatError, match="2\\^l"):
         deserialize_key(blob[:6] + header + blob[30:])
+
+
+# q = 7 leaves room for the second g_q polynomial to be any of degree 0..7
+SMALL_PARAMS = "n = 2\np = 2\nq = 7\nK = 20\nl = 2\ne = 1/10\ng_p = [0,2]; [0,1,2]\n"
+
+
+@pytest.mark.parametrize(
+    "token, match",
+    [
+        # int() reads the first three as x^2, 1 + x + x^2 and 1 + x + x^2 + x^3 + x^5
+        ("0o-7", "not an octal generator"),
+        ("0o+7", "not an octal generator"),
+        ("0o7_5", "not an octal generator"),
+        ("0o", "not an octal generator"),
+        ("[0,7,7]", "repeated exponent in '\\[0,7,7\\]'"),
+        ("[2,2]", "repeated exponent"),
+    ],
+)
+def test_param_file_polynomial_tokens_are_strict(token, match):
+    parse_param_file(SMALL_PARAMS + "g_q = [0,7]; [7]\n")
+    with pytest.raises(ParamFileError, match=match):
+        parse_param_file(SMALL_PARAMS + f"g_q = [0,7]; {token}\n")
+
+
+def test_octal_token_degree_is_capped_and_read_in_linear_time():
+    # MSB first: the first digit holds the constant term, the last x^(3 * digits - 1)
+    assert _parse_poly("0o2" + "0" * 10921 + "1") == (1 << (MAX_N - 1)) | 1
+    with pytest.raises(ParamFileError, match="degree"):
+        _parse_poly("0o4" + "0" * 10921 + "1")
+    start = time.perf_counter()
+    with pytest.raises(ParamFileError, match="degree"):
+        parse_param_file(SMALL_PARAMS + "g_q = [0,7]; 0o" + "7" * 10**6 + "\n")
+    assert time.perf_counter() - start < 2.0
+    # a refused long token is quoted shortened, not in full
+    for token in ("0o" + "7" * 10**5 + "-", "[" + ",".join(map(str, range(10**4))) + ",5]"):
+        with pytest.raises(ParamFileError) as err:
+            parse_param_file(SMALL_PARAMS + f"g_q = [0,7]; {token}\n")
+        assert len(str(err.value)) < 100

@@ -4,7 +4,7 @@ import pytest
 from mcc import trellis as trellis_module
 from mcc.bitlinalg import BitVec
 from mcc.convcode import PolyGenMatrix, encode_streams
-from mcc.gf2poly import BinPoly
+from mcc.gf2poly import from_exponents
 from mcc.trellis import (
     DecodeResult,
     _forward_pass,
@@ -14,8 +14,9 @@ from mcc.trellis import (
     viterbi_decode,
 )
 from oracles import free_distance, reference_cost_to_go, reference_forward_pass
+from polys import from_exponent_lists, from_octal_strings
 
-GP = PolyGenMatrix.from_exponent_lists([[0, 2], [0, 1, 2]])
+GP = from_exponent_lists([[0, 2], [0, 1, 2]])
 D3 = "0111100010101100"
 D0 = "0000011101010011"
 D1 = "0101001000000110"
@@ -29,7 +30,7 @@ def random_code(rng, n_max=4, p_max=3, p=None):
     polys = []
     for _ in range(n):
         v = int(rng.integers(0, 1 << (p + 1))) | 1 | (1 << p)
-        polys.append(BinPoly(v))
+        polys.append(v)
     return PolyGenMatrix(tuple(polys))
 
 
@@ -51,18 +52,18 @@ def test_build_reference_trellis():
 
 
 def test_build_1024_state_trellis():
-    polys = PolyGenMatrix.from_octal(["2327", "2353", "2671", "3175"])
+    polys = from_octal_strings(["2327", "2353", "2671", "3175"])
     t = build_trellis(polys, 16)
     assert t.num_states == 1024
 
 
 def test_memory_cap():
-    big = PolyGenMatrix((BinPoly.x_pow(17) + BinPoly.one(), BinPoly.one()))
+    big = PolyGenMatrix(((1 << 17) ^ 1, 1))
     with pytest.raises(ValueError):
         build_trellis(big, 4)
     # memory 0 leaves a single state and nothing to decode
     with pytest.raises(ValueError):
-        build_trellis(PolyGenMatrix((BinPoly.one(), BinPoly.one())), 4)
+        build_trellis(PolyGenMatrix((1, 1)), 4)
 
 
 def test_stream_cap():
@@ -130,11 +131,46 @@ def test_optimality_against_brute_force():
         assert res.error_weight == brute_force_min_distance(received, polys, k)
 
 
+@pytest.mark.parametrize("p, k", [(1, 7), (1, 8), (2, 7), (2, 8), (3, 5), (3, 6)])
+def test_ties_go_to_the_least_word_read_from_its_last_bit(p, k):
+    # p = 1 runs single steps only; p >= 2 runs the even part of K as paired
+    # stages, then single steps. Reading bit K - 1 as the most significant,
+    # the expected word is the least value of least weight.
+    rng = np.random.default_rng(10 * p + k)
+    tied = 0
+    for _ in range(30):
+        polys = random_code(rng, p=p)
+        t = build_trellis(polys, k)
+        received = BitVec.random(t.n * t.segments, rng)
+        weights = [
+            (encode_streams(BitVec.from_int(k, v), polys, p) ^ received).weight()
+            for v in range(1 << k)
+        ]
+        best = min(weights)
+        tied += weights.count(best) > 1
+        res = viterbi_decode(t, received)
+        assert res.info == BitVec.from_int(k, weights.index(best))
+    assert tied > 0
+
+
+def test_survivor_path_mismatch_raises(monkeypatch):
+    # a raise, not an assert, so that python -O keeps the check
+    t = build_trellis(GP, 6)
+    flip = BitVec.from_indices(16, [0])
+
+    def wrong_word(m, polys, memory):
+        return encode_streams(m, polys, memory) ^ flip
+
+    monkeypatch.setattr(trellis_module, "encode_streams", wrong_word)
+    with pytest.raises(RuntimeError, match="survivor path"):
+        viterbi_decode(t, BitVec.from01(D3))
+
+
 def test_n8_p16_corner_decodes_optimally():
     # the largest branch-metric tables CodeParams admits: 2^(8+16+4) bytes
     rng = np.random.default_rng(19)
     polys = PolyGenMatrix(
-        tuple(BinPoly(int(rng.integers(0, 1 << 17)) | 1 | (1 << 16)) for _ in range(8))
+        tuple(int(rng.integers(0, 1 << 17)) | 1 | (1 << 16) for _ in range(8))
     )
     t = build_trellis(polys, 3)
     assert t._t1.dtype == t._t2.dtype == np.int32
@@ -239,8 +275,8 @@ def test_syndrome_bounds_are_admissible():
     # the whole-word bound is at most the optimal weight (brute force), and
     # the bound after segment t at most the best completion from every state
     rng = np.random.default_rng(31)
-    n1 = PolyGenMatrix((BinPoly.from_exponents([0, 2]),))
-    n4 = PolyGenMatrix.from_exponent_lists([[0, 1, 3], [0, 3], [0, 2, 3], [1, 2, 3]])
+    n1 = PolyGenMatrix((from_exponents([0, 2]),))
+    n4 = from_exponent_lists([[0, 1, 3], [0, 3], [0, 2, 3], [1, 2, 3]])
     cases = [(n1, 8), (GP, 8), (n4, 8), (GP, 40), (n4, 30)]
     cases += [(random_code(rng), 8) for _ in range(8)]
     positive = 0
@@ -296,14 +332,14 @@ def test_path_metrics_never_decrease():
 
 def test_free_distance_reference_codes():
     assert free_distance(GP) == 5
-    rep = PolyGenMatrix((BinPoly.one(), BinPoly.one()))
+    rep = PolyGenMatrix((1, 1))
     assert free_distance(rep) == 2
 
 
 def test_free_distance_matches_terminated_min_weight():
     # short-input brute force: the least-weight nonzero terminated codeword
     rng = np.random.default_rng(17)
-    for polys in (GP, PolyGenMatrix((BinPoly.one(), BinPoly.one()))):
+    for polys in (GP, PolyGenMatrix((1, 1))):
         best = min(
             encode_streams(BitVec.from_int(6, m), polys, polys.memory).weight()
             for m in range(1, 64)
@@ -319,6 +355,6 @@ def test_free_distance_matches_terminated_min_weight():
 
 
 def test_free_distance_search_cap():
-    toobig = PolyGenMatrix((BinPoly.x_pow(13) + BinPoly.one(), BinPoly.one()))
+    toobig = PolyGenMatrix(((1 << 13) ^ 1, 1))
     with pytest.raises(ValueError):
         free_distance(toobig)
